@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -174,6 +176,33 @@ inline double BenchScale() {
   }
   double scale = std::atof(env);
   return scale > 0.0 ? scale : 1.0;
+}
+
+// Host stamp for committed BENCH_*.json records, as JSON members: the cores, compiler, build
+// type and commit a wall-clock number was measured with. Compiler and build type come from the
+// build (bench/CMakeLists.txt). The sha is the checkout's HEAD, suffixed "-dirty" when tracked
+// files differ from it, or "none" outside a git checkout.
+inline std::string GitShaOfCheckout() {
+  const std::string command = std::string("git -C '") + SM_BENCH_SOURCE_DIR +
+                              "' describe --always --dirty --abbrev=40 --match=none 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) {
+    return "none";
+  }
+  char line[64] = {};
+  bool read = std::fgets(line, sizeof(line), pipe) != nullptr;
+  if (pclose(pipe) != 0 || !read) {
+    return "none";
+  }
+  std::string sha(line);
+  sha.erase(sha.find_last_not_of('\n') + 1);
+  return sha;
+}
+
+inline std::string HostStampJson() {
+  return "\"host_cores\":" + std::to_string(std::thread::hardware_concurrency()) +
+         ",\"compiler\":\"" + SM_BENCH_CXX + "\",\"build_type\":\"" + SM_BENCH_BUILD_TYPE +
+         "\",\"git_sha\":\"" + GitShaOfCheckout() + "\"";
 }
 
 inline int EnvInt(const char* name, int fallback) {

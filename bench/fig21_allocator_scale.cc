@@ -80,7 +80,8 @@ bool RunParallelSweep(double scale) {
   // Machine-readable sweep for CI artifacts; SM_BENCH_JSON_OUT overrides the output path.
   const char* json_path = std::getenv("SM_BENCH_JSON_OUT");
   std::ofstream os(json_path != nullptr ? json_path : "BENCH_solver_parallel.json");
-  os << "{\"experiment\":\"solver_parallel\",\"bench\":\"solver_parallel\",\"scale\":" << scale
+  os << "{\"experiment\":\"solver_parallel\",\"bench\":\"solver_parallel\","
+     << HostStampJson() << ",\"scale\":" << scale
      << ",\"servers\":" << spec.servers
      << ",\"shards\":" << spec.servers * spec.shards_per_server
      << ",\"starts\":" << options.starts << ",\"eval_budget\":" << options.eval_budget

@@ -211,7 +211,8 @@ int main() {
   const char* json_path = std::getenv("SM_BENCH_JSON_OUT");
   std::string out_path = json_path != nullptr ? json_path : "BENCH_solver_scale.json";
   std::ofstream os(out_path);
-  os << "{\"experiment\":\"solver_scale\",\"bench\":\"solver_scale\",\"scale\":" << scale
+  os << "{\"experiment\":\"solver_scale\",\"bench\":\"solver_scale\"," << HostStampJson()
+     << ",\"scale\":" << scale
      << ",\"servers\":" << spec.servers << ",\"shards\":" << shards
      << ",\"target_violations\":" << target
      << ",\"warm_base_violations\":" << warm_base_violations

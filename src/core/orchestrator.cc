@@ -1,6 +1,7 @@
 #include "src/core/orchestrator.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <utility>
 
@@ -511,19 +512,30 @@ void Orchestrator::PersistServerAssignment(ServerId server) {
   if (!server.valid() || !MayWrite()) {
     return;
   }
-  std::ostringstream os;
+  // Format: "<shard>:<replica>:<p|s>;" per replica, in server_replicas_ iteration order.
+  // Written with to_chars straight into one sized buffer: this runs on every op that touches a
+  // server, and a server holds hundreds of replicas.
+  std::string record;
   auto it = server_replicas_.find(server.value);
   if (it != server_replicas_.end()) {
+    constexpr int kIntChars = 11;  // "-2147483648"
+    record.resize(it->second.size() * (2 * kIntChars + 4));
+    char* out = record.data();
     for (int64_t key : it->second) {
       ShardId shard(static_cast<int32_t>(key >> 16));
       int replica = static_cast<int>(key & 0xFFFF);
       const ReplicaRuntime& r = Replica(shard, replica);
-      os << shard.value << ":" << replica << ":"
-         << (r.role == ReplicaRole::kPrimary ? "p" : "s") << ";";
+      out = std::to_chars(out, out + kIntChars, shard.value).ptr;
+      *out++ = ':';
+      out = std::to_chars(out, out + kIntChars, replica).ptr;
+      *out++ = ':';
+      *out++ = r.role == ReplicaRole::kPrimary ? 'p' : 's';
+      *out++ = ';';
     }
+    record.resize(static_cast<size_t>(out - record.data()));
   }
   SM_CHECK_OK(coord_->Set("/sm/" + spec_.name + "/assign/" + std::to_string(server.value),
-                          os.str()));
+                          std::move(record)));
 }
 
 ShardMap Orchestrator::BuildMap() const {

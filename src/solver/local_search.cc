@@ -398,17 +398,27 @@ bool LocalSearch::TryImproveBin(int bin, uint32_t mask, const Deadline& deadline
   // batches the violating entities are usually small, so group penalty dominates the key;
   // within equal group penalty, large-shards-first (§5.3) breaks ties.
   if (options_.large_shards_first) {
+    // Keys are read once per visit; the comparator runs O(n log n) times. Outside the group
+    // batch every group_pen is 0, so size decides alone. The random fill of the visit budget
+    // below indexes into this order, so ties must land where a full std::sort of these exact
+    // comparison results puts them: no partial_sort, nth_element or stable_sort.
     const bool group_batch = (mask & kGoalGroup) != 0;
-    std::sort(entities.begin(), entities.end(), [this, group_batch](int32_t a, int32_t b) {
-      if (group_batch) {
-        double ga = tracker_.GroupPenaltyOf(problem_->entity_group[static_cast<size_t>(a)]);
-        double gb = tracker_.GroupPenaltyOf(problem_->entity_group[static_cast<size_t>(b)]);
-        if (ga != gb) {
-          return ga > gb;
-        }
+    rank_keys_.clear();
+    for (int32_t e : entities) {
+      double pen =
+          group_batch ? tracker_.GroupPenaltyOf(problem_->entity_group[static_cast<size_t>(e)])
+                      : 0.0;
+      rank_keys_.push_back(RankKey{pen, tracker_.EntitySize(e), e});
+    }
+    std::sort(rank_keys_.begin(), rank_keys_.end(), [](const RankKey& a, const RankKey& b) {
+      if (a.group_pen != b.group_pen) {
+        return a.group_pen > b.group_pen;
       }
-      return tracker_.EntitySize(a) > tracker_.EntitySize(b);
+      return a.size > b.size;
     });
+    for (size_t i = 0; i < entities.size(); ++i) {
+      entities[i] = rank_keys_[i].entity;
+    }
     // Keep the ordering from being a blind spot: the first half of the visit budget goes to
     // the top-priority entities, the rest to uniformly sampled others, so a bin whose largest
     // entities are immovable still makes progress.

@@ -130,6 +130,14 @@ class LocalSearch {
   GenStampSet dirty_groups_;
   std::vector<int32_t> scan_groups_;  // sorted scratch handed to the restricted scan
 
+  // Candidate ranking scratch for TryImproveBin: one key per entity of the visited bin.
+  struct RankKey {
+    double group_pen;
+    double size;
+    int32_t entity;
+  };
+  std::vector<RankKey> rank_keys_;
+
   // Equivalence classes: dense class id per entity.
   std::vector<int32_t> entity_class_;
   std::vector<uint32_t> class_fail_gen_;

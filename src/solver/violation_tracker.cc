@@ -47,6 +47,10 @@ void ViolationTracker::Init() {
   for (const AffinityEntry& entry : specs_->affinities()) {
     group_affinity_[entry.group].push_back(entry);
   }
+  group_pen_.resize(group_members_.size());
+  for (size_t g = 0; g < group_members_.size(); ++g) {
+    group_pen_[g] = GroupPenalty(static_cast<int32_t>(g), -1, -1);
+  }
 
   // Per-metric hard capacity limit (tightest spec wins).
   capacity_limit_.assign(static_cast<size_t>(metrics_), -1.0);
@@ -310,7 +314,7 @@ double ViolationTracker::MoveDelta(int entity, int to) const {
   // Group goals change only if the entity's fault domains change.
   int32_t group = problem_->entity_group[static_cast<size_t>(entity)];
   if (group >= 0) {
-    delta += GroupPenalty(group, entity, to) - GroupPenalty(group, -1, -1);
+    delta += GroupPenalty(group, entity, to) - group_pen_[static_cast<size_t>(group)];
   }
   return delta;
 }
@@ -337,6 +341,7 @@ void ViolationTracker::ApplyMove(int entity, int to) {
               static_cast<size_t>(m)] += problem_->load(entity, m);
   }
   problem_->assignment[static_cast<size_t>(entity)] = to;
+  RefreshGroupPenalty(entity);
   objective_ += delta;
   ++applied_moves_;
   ++moves_since_recompute_;
@@ -367,7 +372,7 @@ double ViolationTracker::UnassignDelta(int entity) const {
   // so they do not either. Keep the group delta unconditional for the live case.
   int32_t group = problem_->entity_group[static_cast<size_t>(entity)];
   if (group >= 0) {
-    delta += GroupPenalty(group, entity, -1) - GroupPenalty(group, -1, -1);
+    delta += GroupPenalty(group, entity, -1) - group_pen_[static_cast<size_t>(group)];
   }
   return delta;
 }
@@ -386,10 +391,18 @@ void ViolationTracker::ApplyUnassign(int entity) {
               static_cast<size_t>(m)] -= problem_->load(entity, m);
   }
   problem_->assignment[static_cast<size_t>(entity)] = -1;
+  RefreshGroupPenalty(entity);
   objective_ += delta;
   ++applied_moves_;
   ++moves_since_recompute_;
   MaybeAutoRecompute();
+}
+
+void ViolationTracker::RefreshGroupPenalty(int entity) {
+  int32_t group = problem_->entity_group[static_cast<size_t>(entity)];
+  if (group >= 0) {
+    group_pen_[static_cast<size_t>(group)] = GroupPenalty(group, -1, -1);
+  }
 }
 
 void ViolationTracker::SetAutoRecompute(int64_t every_moves, bool scope_averages_too) {
@@ -417,6 +430,9 @@ void ViolationTracker::MaybeAutoRecompute() {
   if (drift_check_) {
     double drift = std::abs(objective_ - exact) / std::max(1.0, std::abs(exact));
     SM_CHECK(drift <= drift_tolerance_);
+    for (size_t g = 0; g < group_pen_.size(); ++g) {
+      SM_CHECK_EQ(group_pen_[g], GroupPenalty(static_cast<int32_t>(g), -1, -1));
+    }
   }
   if (auto_recompute_averages_) {
     RecomputeAll();
@@ -554,11 +570,10 @@ ViolationCounts ViolationTracker::Count() const {
 std::vector<double> ViolationTracker::ComputeBinPenalties(
     uint32_t mask, ThreadPool* pool, const std::vector<int32_t>* scan_groups) const {
   const int64_t bins = problem_->num_bins();
-  const int64_t groups = static_cast<int64_t>(group_members_.size());
   // Sharding is worth the task overhead only for large scans; below the threshold the pool is
   // ignored. Each sharded iteration writes its own slot, so the values never depend on the
   // chunking or on which thread ran them — the scan is a pure map.
-  const bool shard = pool != nullptr && pool->threads() > 1 && bins + groups >= 4096;
+  const bool shard = pool != nullptr && pool->threads() > 1 && bins >= 4096;
 
   std::vector<double> penalties(static_cast<size_t>(bins), 0.0);
   auto scan_bins = [&](int64_t begin, int64_t end) {
@@ -580,60 +595,29 @@ std::vector<double> ViolationTracker::ComputeBinPenalties(
     scan_bins(0, bins);
   }
 
-  if ((mask & kGoalGroup) != 0 && scan_groups != nullptr) {
-    // Restricted scan (incremental repair): only the listed groups are evaluated, into a
-    // compact per-entry scratch — O(dirty) work and memory instead of O(groups). The list is
-    // sorted ascending, so the scatter accumulates onto each bin in the same group order as the
-    // full scan below and the floating-point sums come out bit-identical.
-    const std::vector<int32_t>& list = *scan_groups;
-    const int64_t n = static_cast<int64_t>(list.size());
-    std::vector<double> scoped_pen(static_cast<size_t>(n), 0.0);
-    auto scan_scoped = [&](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) {
-        scoped_pen[static_cast<size_t>(i)] = GroupPenalty(list[static_cast<size_t>(i)], -1, -1);
-      }
-    };
-    if (shard) {
-      pool->ParallelFor(0, n, 2048, scan_scoped);
-    } else {
-      scan_scoped(0, n);
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      double pen = scoped_pen[static_cast<size_t>(i)];
+  if ((mask & kGoalGroup) != 0) {
+    // Group penalties come from the cache and are scattered onto member bins in ascending group
+    // order. The restricted list (incremental repair) is sorted ascending too, so each bin
+    // accumulates its terms in the full scan's order and the sums come out bit-identical.
+    auto scatter = [&](size_t g) {
+      double pen = group_pen_[g];
       if (pen <= kEps) {
-        continue;
-      }
-      for (int32_t member : group_members_[static_cast<size_t>(list[static_cast<size_t>(i)])]) {
-        int32_t b = problem_->assignment[static_cast<size_t>(member)];
-        if (BinLive(b)) {
-          penalties[static_cast<size_t>(b)] += pen;
-        }
-      }
-    }
-  } else if ((mask & kGoalGroup) != 0) {
-    // Group penalties are computed into per-group slots (shardable map), then scattered onto
-    // member bins sequentially: the scatter writes overlap across groups, so it stays serial.
-    std::vector<double> group_pen(static_cast<size_t>(groups), 0.0);
-    auto scan_all = [&](int64_t begin, int64_t end) {
-      for (int64_t g = begin; g < end; ++g) {
-        group_pen[static_cast<size_t>(g)] = GroupPenalty(static_cast<int32_t>(g), -1, -1);
-      }
-    };
-    if (shard) {
-      pool->ParallelFor(0, groups, 2048, scan_all);
-    } else {
-      scan_all(0, groups);
-    }
-    for (size_t g = 0; g < group_members_.size(); ++g) {
-      double pen = group_pen[g];
-      if (pen <= kEps) {
-        continue;
+        return;
       }
       for (int32_t member : group_members_[g]) {
         int32_t b = problem_->assignment[static_cast<size_t>(member)];
         if (BinLive(b)) {
           penalties[static_cast<size_t>(b)] += pen;
         }
+      }
+    };
+    if (scan_groups != nullptr) {
+      for (int32_t g : *scan_groups) {
+        scatter(static_cast<size_t>(g));
+      }
+    } else {
+      for (size_t g = 0; g < group_members_.size(); ++g) {
+        scatter(g);
       }
     }
   }
@@ -642,7 +626,7 @@ std::vector<double> ViolationTracker::ComputeBinPenalties(
 
 void ViolationTracker::AppendViolatingGroups(std::vector<int32_t>* out) const {
   for (size_t g = 0; g < group_members_.size(); ++g) {
-    if (GroupPenalty(static_cast<int32_t>(g), -1, -1) > kEps) {
+    if (group_pen_[g] > kEps) {
       out->push_back(static_cast<int32_t>(g));
     }
   }

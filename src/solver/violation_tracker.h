@@ -1,12 +1,21 @@
 // ViolationTracker: incremental objective accounting for the local-search backend.
 //
-// Maintains per-bin load sums, per-group domain occupancy and per-scope utilization averages so
-// that the objective change of a candidate move is computed in O(metrics + replicas-per-shard)
-// instead of re-evaluating the whole problem. This is the "only traverses tree nodes whose
-// values may change" idea of §5.3, realized over flat arrays.
+// Maintains per-bin load sums and entity lists, per-scope utilization averages and a per-group
+// penalty cache so that the objective change of a candidate move is computed in
+// O(metrics + replicas-per-shard) instead of re-evaluating the whole problem. This is the "only
+// traverses tree nodes whose values may change" idea of §5.3, realized over flat arrays.
+//
+// The group penalty cache holds each group's current affinity + exclusion penalty. It is filled
+// by Init() and, after every ApplyMove/ApplyUnassign, recomputed for the moved entity's group —
+// the only group whose members' bins changed — with the same function as a fresh scan, so a
+// cached value is bit-identical to a recompute (DESIGN.md §14). Candidate ranking
+// (GroupPenaltyOf), the hot-bin scan (ComputeBinPenalties, AppendViolatingGroups) and the
+// current-state term of MoveDelta/UnassignDelta read it; the hypothetical post-move penalty is
+// still computed per candidate.
 //
 // The continuous objective (weighted excess amounts) drives the search; the discrete
-// ViolationCounts (what Fig. 21/22 plot) are produced by exact full scans in Count().
+// ViolationCounts (what Fig. 21/22 plot) are produced by exact full scans in Count(). Those
+// scans, ComputeExactObjective and the drift check never read the cache: they are its oracle.
 
 #ifndef SRC_SOLVER_VIOLATION_TRACKER_H_
 #define SRC_SOLVER_VIOLATION_TRACKER_H_
@@ -77,7 +86,8 @@ class ViolationTracker {
   void SetAutoRecompute(int64_t every_moves, bool scope_averages_too);
 
   // Debug drift assertion: at every scheduled recompute, SM_CHECK that the relative drift
-  // between the incrementally maintained and the exact objective is below `tolerance`.
+  // between the incrementally maintained and the exact objective is below `tolerance`, and
+  // that every cached group penalty equals a fresh recompute exactly.
   void SetDriftCheck(bool enabled, double tolerance);
 
   // Relative drift |incremental - exact| / max(1, |exact|) of the current objective. Exposed
@@ -91,9 +101,9 @@ class ViolationTracker {
   ViolationCounts Count() const;
 
   // Per-bin penalty restricted to the goal families in `mask`; used to pick hot bins.
-  // Group penalties are attributed to every bin hosting a member of a violating group.
-  // `pool` (optional) shards the scan for large problems; every sharded write is to a disjoint
-  // per-bin / per-group slot, so the output is bit-identical with and without a pool.
+  // Group penalties (read from the cache) are attributed to every bin hosting a member of a
+  // violating group. `pool` (optional) shards the bin scan for large problems; every sharded
+  // write is to a disjoint per-bin slot, so the output is bit-identical with and without a pool.
   //
   // `scan_groups` (optional, sorted ascending) restricts the group-penalty pass to the listed
   // groups. The restricted scan is exact — not approximate — whenever every group with nonzero
@@ -133,8 +143,10 @@ class ViolationTracker {
   const std::vector<int32_t>& GroupMembers(int32_t group) const;
   // Regions in which the group currently falls short of an affinity goal.
   std::vector<int32_t> GroupAffinityDeficitRegions(int32_t group) const;
-  // Current affinity+exclusion penalty of a group (0 for ungrouped entities).
-  double GroupPenaltyOf(int32_t group) const { return GroupPenalty(group, -1, -1); }
+  // Current affinity+exclusion penalty of a group (0 for ungrouped entities), from the cache.
+  double GroupPenaltyOf(int32_t group) const {
+    return group < 0 ? 0.0 : group_pen_[static_cast<size_t>(group)];
+  }
   // Total normalized size of an entity (for large-shards-first ordering).
   double EntitySize(int entity) const { return entity_size_[static_cast<size_t>(entity)]; }
 
@@ -153,8 +165,10 @@ class ViolationTracker {
   // Full load penalty of a bin at its current loads.
   double BinLoadPenalty(int bin, uint32_t mask) const;
   // Affinity + exclusion penalty of a group given a hypothetical move (entity -> to); pass
-  // entity = -1 for the current state.
+  // entity = -1 for the current state. Always a fresh scan of the group's members.
   double GroupPenalty(int32_t group, int moved_entity, int to) const;
+  // Refreshes the cached penalty of `entity`'s group after its assignment changed.
+  void RefreshGroupPenalty(int entity);
   double DrainPenaltyOf(int bin) const;
   double ComputeExactObjective() const;
   void MaybeAutoRecompute();
@@ -166,6 +180,7 @@ class ViolationTracker {
   std::vector<double> bin_load_;                     // bins x metrics
   std::vector<std::vector<int32_t>> bin_entities_;   // entity ids per bin
   std::vector<std::vector<int32_t>> group_members_;  // entity ids per group
+  std::vector<double> group_pen_;                    // current penalty per group (the cache)
   std::vector<int32_t> empty_group_;
   std::unordered_map<int32_t, std::vector<AffinityEntry>> group_affinity_;
   std::vector<BalanceState> balance_states_;

@@ -5,7 +5,9 @@
 //   * results stay byte-identical across thread counts {1, 2, 8} for every backend, including
 //     the LNS portfolio, and across repeated warm rounds;
 //   * LNS is a pure function of its seed and its move log replays to the final assignment;
-//   * the tracker's incremental objective stays within the drift tolerance over 100k moves.
+//   * the tracker's incremental objective stays within the drift tolerance over 100k moves;
+//   * the tracker's per-group penalty cache equals a fresh recompute after every applied move;
+//   * a fixed-seed local search reproduces a pinned move list and final objective.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 
 #include "src/common/rng.h"
 #include "src/solver/incremental.h"
+#include "src/solver/local_search.h"
 #include "src/solver/rebalancer.h"
 #include "src/solver/violation_tracker.h"
 
@@ -271,6 +274,150 @@ TEST(SolverIncrementalTest, LnsIsDeterministicPerSeedAndReplaysToFinalAssignment
     replay_base.assignment[static_cast<size_t>(move.entity)] = move.to;
   }
   EXPECT_EQ(replay_base.assignment, p1.assignment);
+}
+
+uint64_t MoveDigest(const std::vector<SolverMove>& moves) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((static_cast<uint64_t>(v) >> (8 * i)) & 0xFF)) * 1099511628211ULL;
+    }
+  };
+  for (const SolverMove& move : moves) {
+    mix(move.entity);
+    mix(move.from);
+    mix(move.to);
+  }
+  return h;
+}
+
+// Golden values of a fixed-seed LocalSearch solve that runs every goal batch (kGoalGroup
+// included) with large_shards_first on and ~20 entities per bin, far above
+// entities_per_bin_visit. Loads are drawn from three levels, so many entities of a bin tie on
+// size (and on group penalty): the order among equal keys is whatever std::sort makes of the
+// comparison results. The candidate order of a hot-bin visit and the random fill of its visit
+// budget both feed the move list, so a change to the comparison results, to the group
+// penalties they read or to the sort algorithm moves these values.
+TEST(LocalSearchGoldenTest, GroupBatchRankingReproducesPinnedMovesAndObjective) {
+  Rebalancer rb = Specs();
+  Rng rng(5);
+  SolverProblem p;
+  for (int b = 0; b < 48; ++b) {
+    p.AddBin({rng.Uniform(80, 120), rng.Uniform(80, 120)}, b % 4, b % 8, b / 2);
+  }
+  for (int e = 0; e < 960; ++e) {
+    double level = 2.0 * static_cast<double>(rng.UniformInt(1, 3));
+    p.AddEntity({level, level}, e % 120, static_cast<int32_t>(rng.UniformInt(0, 47)));
+  }
+  SolveOptions options;
+  options.seed = 31;
+  options.eval_budget = 40000;
+  options.trace_interval = 0;
+  ASSERT_TRUE(options.large_shards_first);
+  ASSERT_TRUE(options.goal_batching);
+  ASSERT_GT(p.num_entities() / p.num_bins(), options.entities_per_bin_visit);
+
+  LocalSearch search(&p, &rb, options);
+  SolveResult result = search.Run();
+  EXPECT_GT(result.initial_violations.affinity + result.initial_violations.exclusion, 0);
+  EXPECT_LT(result.final_violations.affinity + result.final_violations.exclusion,
+            result.initial_violations.affinity + result.initial_violations.exclusion);
+
+  // Recorded before the rank keys and the group penalty cache existed; neither may change a
+  // comparison result.
+  EXPECT_EQ(result.moves.size(), 291u);
+  EXPECT_EQ(MoveDigest(result.moves), 10114668765284929643ULL);
+  EXPECT_EQ(result.final_objective, 0x1.b77f280fe7ed5p+23);  // exact, hex float
+  EXPECT_EQ(result.evaluations, 40005);
+}
+
+// Index of the first group whose cached penalty differs from a fresh recompute, or -1. The
+// fresh values come from a second tracker Init()ed on a copy of the current problem.
+int32_t FirstStaleGroup(const ViolationTracker& tracker, const SolverProblem& p,
+                        const Rebalancer& rb) {
+  SolverProblem copy = p;
+  ViolationTracker fresh(&copy, &rb);
+  fresh.Init();
+  for (int32_t g = 0; g < tracker.num_groups(); ++g) {
+    if (tracker.GroupPenaltyOf(g) != fresh.GroupPenaltyOf(g)) {  // exact on purpose
+      return g;
+    }
+  }
+  return -1;
+}
+
+// Multi-region problems with affinity and region- plus rack-scope exclusion specs, one dead bin.
+Rebalancer CacheSpecs() {
+  Rebalancer rb = Specs();
+  rb.AddGoal(ExclusionSpec{DomainScope::kRack}, 5000.0);
+  return rb;
+}
+
+SolverProblem CacheProblem(uint64_t seed) {
+  SolverProblem p = RandomProblem(seed, 24, 360, 90);
+  p.bin_alive[static_cast<size_t>(seed % 24)] = 0;
+  return p;
+}
+
+TEST(ViolationTrackerTest, GroupPenaltyCacheIsExactAfterEveryAppliedMove) {
+  Rebalancer rb = CacheSpecs();
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // The solvers' own moves, swaps' tentative halves and reverts included: with a recompute
+    // scheduled after every applied move and the drift check armed, the tracker SM_CHECKs
+    // every cached group penalty against a fresh scan after each ApplyMove/ApplyUnassign.
+    SolveOptions options;
+    options.seed = seed;
+    options.eval_budget = 6000;
+    options.trace_interval = 0;
+    options.objective_recompute_moves = 1;
+    options.check_drift = true;
+    SolverProblem ls_problem = CacheProblem(seed);
+    SolverProblem replay = ls_problem;
+    SolveResult local = rb.Solve(ls_problem, options);
+    ASSERT_FALSE(local.moves.empty());
+    options.lns_starts = 1;  // the single start runs LNS destroy/rebuild
+    SolverProblem lns_problem = CacheProblem(seed);
+    rb.Solve(lns_problem, options);
+
+    // The same through the public API: replay the local-search move log, then destroy/rebuild
+    // rounds shaped like LNS (unassign a neighborhood, re-place each victim), comparing every
+    // group after every move.
+    ViolationTracker tracker(&replay, &rb);
+    tracker.Init();
+    ASSERT_EQ(FirstStaleGroup(tracker, replay, rb), -1);
+    for (const SolverMove& move : local.moves) {
+      tracker.ApplyMove(move.entity, move.to);
+      ASSERT_EQ(FirstStaleGroup(tracker, replay, rb), -1) << "after move of " << move.entity;
+    }
+    EXPECT_EQ(replay.assignment, ls_problem.assignment);
+
+    Rng rng(seed * 7919);
+    for (int round = 0; round < 12; ++round) {
+      std::vector<int32_t> victims;
+      int32_t group = static_cast<int32_t>(rng.UniformInt(0, tracker.num_groups() - 1));
+      for (int32_t member : tracker.GroupMembers(group)) {
+        victims.push_back(member);
+      }
+      for (int k = 0; k < 6; ++k) {
+        victims.push_back(static_cast<int32_t>(rng.UniformInt(0, replay.num_entities() - 1)));
+      }
+      std::vector<int32_t> destroyed;
+      for (int32_t entity : victims) {
+        if (replay.assignment[static_cast<size_t>(entity)] < 0) {
+          continue;  // picked twice
+        }
+        tracker.ApplyUnassign(entity);
+        destroyed.push_back(entity);
+        ASSERT_EQ(FirstStaleGroup(tracker, replay, rb), -1) << "after unassign of " << entity;
+      }
+      for (int32_t entity : destroyed) {
+        int bin = static_cast<int>(rng.UniformInt(0, replay.num_bins() - 1));
+        tracker.ApplyMove(entity, bin);
+        ASSERT_EQ(FirstStaleGroup(tracker, replay, rb), -1) << "after re-place of " << entity;
+      }
+    }
+  }
 }
 
 TEST(ViolationTrackerTest, IncrementalObjectiveDriftStaysBoundedOver100kMoves) {
