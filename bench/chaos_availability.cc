@@ -1,10 +1,11 @@
 // Chaos availability curve: client-observed request success rate and tail latency as a
 // function of fault intensity (mean fault interarrival), produced by the seeded FaultInjector
-// against a three-region primary-secondary deployment.
+// against a three-region primary-secondary deployment on the replicated control plane, so the
+// default fault mix includes leader loss.
 //
 // Each intensity level runs the identical testbed + probe with only the chaos clock changed;
 // level 0 injects no faults (the availability ceiling). Output ends with a single-line JSON
-// document for plotting/CI ingestion.
+// document for plotting/CI ingestion. Exits non-zero when any level saw an invariant violation.
 
 #include <algorithm>
 #include <cstdlib>
@@ -50,6 +51,7 @@ CurvePoint RunLevel(double mean_fault_interval_s, TimeMicros churn) {
   config.app.caps.max_unavailable_per_shard = 1;
   config.mini_sm.orchestrator.periodic_alloc_interval = Seconds(20);
   config.mini_sm.orchestrator.failover_grace = Seconds(8);
+  config.smr_control_plane = true;
   config.seed = 404;
   Testbed bed(config);
   bed.Start();
@@ -85,11 +87,11 @@ CurvePoint RunLevel(double mean_fault_interval_s, TimeMicros churn) {
   checker.Stop();
   probe.Stop();
 
-  // All reported numbers come from the telemetry registry; the component accessors
-  // (injector.faults_injected() etc.) remain for tests and must agree by construction.
+  // The reported numbers come from the telemetry registry, except violations: they gate the
+  // exit status, so they come from the checker itself and hold with telemetry compiled out.
   obs::MetricsSnapshot snapshot = obs::DefaultMetrics().Snapshot();
   point.faults = snapshot.CounterValue("sm.chaos.faults_injected");
-  point.violations = snapshot.CounterValue("sm.chaos.invariant_violations");
+  point.violations = checker.total_violations();
   point.requests = snapshot.CounterValue("sm.probe.sent");
   int64_t ok = snapshot.CounterValue("sm.probe.succeeded");
   int64_t failed = snapshot.CounterValue("sm.probe.failed");
@@ -121,12 +123,14 @@ int main() {
   }
 
   std::vector<CurvePoint> curve;
+  int64_t violations = 0;
   TablePrinter table(
       {"mean_fault_interval_s", "success_rate", "worst_p99_ms", "requests", "faults",
        "violations"});
   for (double level : levels) {
     CurvePoint point = RunLevel(level, churn);
     curve.push_back(point);
+    violations += point.violations;
     table.AddRowValues(level == 0.0 ? std::string("none") : FormatDouble(level, 0),
                        FormatDouble(point.success_rate, 4), FormatDouble(point.worst_p99_ms, 1),
                        point.requests, point.faults, point.violations);
@@ -155,6 +159,10 @@ int main() {
     std::ofstream os(metrics_out);
     obs::DefaultMetrics().WriteJsonl(os);
     std::cout << "Metrics JSONL written to " << metrics_out << "\n";
+  }
+  if (violations > 0) {
+    std::cerr << "FAIL: " << violations << " invariant violation(s) across the curve\n";
+    return 1;
   }
   return 0;
 }

@@ -134,7 +134,7 @@ SolveOptions SmAllocator::BuildSolveOptions(AllocationMode mode) const {
   solve.goal_batching = options_.goal_batching;
   solve.equivalence_classes = options_.equivalence_classes;
   solve.enable_swaps = options_.enable_swaps;
-  solve.trace_interval = options_.trace_interval;
+  solve.trace_interval = 0;  // nothing in the control plane reads a solver trace
   solve.emergency = mode == AllocationMode::kEmergency;
   solve.incremental = options_.incremental_repair;
   solve.dirty_fallback_fraction = options_.dirty_fallback_fraction;
@@ -219,7 +219,6 @@ AllocationResult SmAllocator::Allocate(PartitionSnapshot& snapshot, AllocationMo
   result.solve_wall = solved.wall_time;
   result.evaluations = solved.evaluations;
   result.converged = solved.converged;
-  result.trace = std::move(solved.trace);
 
   // Write back net changes by comparing each entity's final bin against the snapshot's
   // placement. This covers both solver moves and warm-cache seeding (which pre-dates the move

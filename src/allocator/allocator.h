@@ -52,7 +52,6 @@ struct AllocatorOptions {
   bool goal_batching = true;
   bool equivalence_classes = true;
   bool enable_swaps = true;
-  TimeMicros trace_interval = Millis(200);
 
   // Warm-started incremental repair (DESIGN.md §14). When enabled, periodic solves reuse the
   // previous round's assignment for this partition (unassigned replicas are re-seeded from the
@@ -82,7 +81,6 @@ struct AllocationResult {
   TimeMicros solve_wall = 0;
   int64_t evaluations = 0;
   bool converged = false;
-  std::vector<TracePoint> trace;
 };
 
 class SmAllocator {

@@ -24,8 +24,6 @@ const char* FaultKindName(FaultKind kind) {
       return "watch-delay-spike";
     case FaultKind::kSessionExpiryStorm:
       return "session-expiry-storm";
-    case FaultKind::kControlPlaneFailover:
-      return "control-plane-failover";
     case FaultKind::kMapDeliveryLoss:
       return "map-delivery-loss";
     case FaultKind::kLeaderLoss:
@@ -50,8 +48,11 @@ FaultInjector::FaultInjector(Testbed* testbed, ChaosConfig config, InvariantChec
          {FaultKind::kServerCrash, FaultKind::kRackPowerLoss, FaultKind::kRegionPartition,
           FaultKind::kAsymmetricPartition, FaultKind::kLinkDegradation,
           FaultKind::kWatchDelaySpike, FaultKind::kSessionExpiryStorm,
-          FaultKind::kControlPlaneFailover, FaultKind::kMapDeliveryLoss}) {
-      mix_.push_back(FaultWeight{kind, 1.0});
+          FaultKind::kLeaderLoss, FaultKind::kMapDeliveryLoss}) {
+      // Decided from the config, not replica_set(): the injector may be built before Start().
+      if (kind != FaultKind::kLeaderLoss || testbed->config().smr_control_plane) {
+        mix_.push_back(FaultWeight{kind, 1.0});
+      }
     }
   } else {
     for (const FaultWeight& w : config_.mix) {
@@ -162,9 +163,6 @@ void FaultInjector::InjectOne() {
       break;
     case FaultKind::kSessionExpiryStorm:
       injected = InjectSessionExpiryStorm();
-      break;
-    case FaultKind::kControlPlaneFailover:
-      injected = InjectControlPlaneFailover();
       break;
     case FaultKind::kMapDeliveryLoss:
       injected = InjectMapDeliveryLoss(duration);
@@ -431,24 +429,6 @@ bool FaultInjector::InjectSessionExpiryStorm() {
   BracketUnplanned(config_.storm_reconnect_after);
   ScheduleHeal(id, FaultKind::kSessionExpiryStorm, config_.storm_reconnect_after,
                "sessions reconnected");
-  return true;
-}
-
-bool FaultInjector::InjectControlPlaneFailover() {
-  // The simulate shim only exists in single-instance mode; with the replicated control plane
-  // the equivalent (and stronger) fault is kLeaderLoss, which needs no quiescence.
-  if (bed_->replica_set() != nullptr) {
-    return false;
-  }
-  // Failover requires a quiescent orchestrator: in-flight operations hold callbacks into the
-  // instance about to be destroyed. Skipping here is fine — the arrival clock fires again.
-  if (bed_->orchestrator().pending_ops() != 0) {
-    return false;
-  }
-  int64_t id = RecordInject(FaultKind::kControlPlaneFailover, "orchestrator replaced");
-  bed_->mini_sm().SimulateControlPlaneFailover();
-  journal_.push_back(ChaosEvent{bed_->sim().Now(), id, FaultKind::kControlPlaneFailover, true,
-                                "recovered from coordination store"});
   return true;
 }
 

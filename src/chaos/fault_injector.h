@@ -9,7 +9,8 @@
 //                  link degradation windows: elevated latency x loss x duplication;
 //   coordination   watch-notification delay spikes (slow ZooKeeper) and session-expiry storms
 //                  (several live servers lose their sessions within one notify window);
-//   control plane  mid-churn orchestrator failover (recovery from the coordination store).
+//   control plane  mid-churn leader loss on a replicated control plane (fenced hand-off and
+//                  op-log-reconciled takeover, DESIGN.md §11).
 //
 // Every injected fault and heal is appended to a journal; the same seed against the same
 // testbed configuration reproduces the identical schedule, which the chaos tests assert
@@ -39,14 +40,13 @@ enum class FaultKind {
   kLinkDegradation,
   kWatchDelaySpike,
   kSessionExpiryStorm,
-  kControlPlaneFailover,
   // Shard-map dissemination loss: deliveries drop with a sampled probability for the fault's
   // duration. Delta-mode subscribers develop version gaps and must recover via snapshot
   // fallback (DESIGN.md §10); snapshot-mode subscribers just run staler until the next publish.
   kMapDeliveryLoss,
   // Replicated control plane (DESIGN.md §11) faults. These require a Testbed running with
-  // smr_control_plane = true and are deliberately NOT part of the default mix so existing
-  // chaos journals stay byte-identical; SMR soak tests opt in with an explicit mix.
+  // smr_control_plane = true. kLeaderLoss is in the default mix on such beds (it is the one
+  // control-plane failover fault); the other two join only through an explicit mix.
   //   kLeaderLoss        the current leader's coordination-store session expires mid-term;
   //   kLeaderPartition   asymmetric partition: every outbound link from the leader's region is
   //                      cut, then its session times out — the classic gray leader;
@@ -65,7 +65,9 @@ struct FaultWeight {
 };
 
 struct ChaosConfig {
-  // Relative probabilities of each fault kind; empty selects every kind with weight 1.
+  // Relative probabilities of each fault kind. Empty selects the default mix: every kind except
+  // the SMR ones with weight 1, plus kLeaderLoss when the testbed runs the replicated control
+  // plane.
   std::vector<FaultWeight> mix;
   // Faults arrive on an exponential clock with this mean (lower = more intense chaos).
   TimeMicros mean_fault_interval = Seconds(15);
@@ -136,7 +138,6 @@ class FaultInjector {
   bool InjectLinkDegradation(TimeMicros duration);
   bool InjectWatchDelaySpike(TimeMicros duration);
   bool InjectSessionExpiryStorm();
-  bool InjectControlPlaneFailover();
   bool InjectMapDeliveryLoss(TimeMicros duration);
   bool InjectLeaderLoss();
   bool InjectLeaderPartition(TimeMicros duration);

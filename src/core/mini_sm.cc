@@ -9,84 +9,46 @@ namespace shardman {
 MiniSm::MiniSm(Simulator* sim, Network* network, CoordStore* coord, ServiceDiscovery* discovery,
                ServerRegistry* registry, std::vector<ClusterManager*> cluster_managers,
                AppSpec spec, RegionId home_region, MiniSmConfig config)
-    : sim_(sim),
-      network_(network),
-      coord_(coord),
-      discovery_(discovery),
-      home_region_(home_region),
-      config_(config),
-      app_spec_(std::move(spec)),
-      registry_(registry),
+    : registry_(registry),
       cluster_managers_(std::move(cluster_managers)),
       allocator_(config.allocator),
-      register_task_controller_(config.register_task_controller) {
-  orchestrator_ = std::make_unique<Orchestrator>(sim, network, coord, discovery, registry,
-                                                 &allocator_, app_spec_, home_region,
-                                                 config.orchestrator);
-  task_controller_ = std::make_unique<SmTaskController>(sim, orchestrator_.get(), registry,
-                                                        orchestrator_->spec());
-}
-
-void MiniSm::WireClusterManagers() {
-  const AppId app = app_spec_.id;
+      orchestrator_(sim, network, coord, discovery, registry, &allocator_, std::move(spec),
+                    home_region, config.orchestrator),
+      task_controller_(sim, &orchestrator_, registry, orchestrator_.spec()) {
   for (ClusterManager* cm : cluster_managers_) {
     SM_CHECK(cm != nullptr);
-    task_controller_->TrackClusterManager(cm);
-    if (register_task_controller_) {
-      cm->RegisterTaskController(app, task_controller_.get());
+    task_controller_.TrackClusterManager(cm);
+    if (config.register_task_controller) {
+      cm->RegisterTaskController(orchestrator_.spec().id, &task_controller_);
     }
   }
 }
 
 void MiniSm::Start() {
-  const AppId app = app_spec_.id;
-  WireClusterManagers();
+  const AppId app = orchestrator_.spec().id;
   for (ClusterManager* cm : cluster_managers_) {
-    // Listeners capture the MiniSm, not the orchestrator, so a control-plane failover that
-    // swaps the orchestrator does not leave dangling callbacks in the cluster managers.
     ContainerLifecycleListener listener;
     listener.on_down = [this](ContainerId container, bool planned) {
       ServerHandle* server = registry_->GetByContainer(container);
       if (server != nullptr) {
-        orchestrator_->OnServerDown(server->id, planned);
+        orchestrator_.OnServerDown(server->id, planned);
       }
     };
     listener.on_up = [this](ContainerId container) {
       ServerHandle* server = registry_->GetByContainer(container);
       if (server != nullptr) {
-        orchestrator_->OnServerUp(server->id);
+        orchestrator_.OnServerUp(server->id);
       }
     };
     listener.on_stopped = [this](ContainerId container) {
       ServerHandle* server = registry_->GetByContainer(container);
       if (server != nullptr) {
-        orchestrator_->OnServerStopped(server->id);
+        orchestrator_.OnServerStopped(server->id);
       }
     };
     cm->AddLifecycleListener(app, std::move(listener));
   }
-  orchestrator_->Start();
-}
-
-void MiniSm::SimulateControlPlaneFailover() {
-  // Documented precondition (see header): a failover while operations are queued or in flight
-  // destroys the orchestrator that owns their completion callbacks — the replicas those ops
-  // were driving would be silently corrupted. Fail loudly instead; callers (e.g. the chaos
-  // engine) must check pending_ops() == 0 first.
-  SM_CHECK_EQ(orchestrator_->pending_ops(), 0);
-  orchestrator_->Shutdown();
-  // The replacement instance recovers everything from the coordination store (§6.2); the old
-  // instance is destroyed only after the new one is serving, mirroring a primary/secondary
-  // control-plane pair. TaskController state (in-flight approvals) is rebuilt empty — pending
-  // cluster-manager operations are simply re-presented at the next negotiation round.
-  auto replacement = std::make_unique<Orchestrator>(sim_, network_, coord_, discovery_,
-                                                    registry_, &allocator_, app_spec_,
-                                                    home_region_, config_.orchestrator);
-  orchestrator_ = std::move(replacement);
-  task_controller_ = std::make_unique<SmTaskController>(sim_, orchestrator_.get(), registry_,
-                                                        orchestrator_->spec());
-  WireClusterManagers();
-  orchestrator_->StartRecovered();
+  orchestrator_.Start();
 }
 
 }  // namespace shardman

@@ -3,12 +3,12 @@
 // SM's control plane is itself sharded: each mini-SM owns an orchestrator + allocator +
 // TaskController for the partitions assigned to it, and registers with every regional cluster
 // manager hosting those partitions' servers. This class wires those pieces together for one
-// application partition.
+// application partition. It runs a single orchestrator for its whole life; control-plane
+// failover (§6.2) is the replicated control plane's leader hand-off (src/smr/replica_set.h).
 
 #ifndef SRC_CORE_MINI_SM_H_
 #define SRC_CORE_MINI_SM_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/allocator/allocator.h"
@@ -31,45 +31,28 @@ struct MiniSmConfig {
 class MiniSm {
  public:
   // `cluster_managers` are all regional CMs hosting this app's containers (one for a regional
-  // deployment, several for a geo-distributed one).
+  // deployment, several for a geo-distributed one). Registers the TaskController with each.
   MiniSm(Simulator* sim, Network* network, CoordStore* coord, ServiceDiscovery* discovery,
          ServerRegistry* registry, std::vector<ClusterManager*> cluster_managers, AppSpec spec,
          RegionId home_region, MiniSmConfig config);
 
-  // Registers TaskController + lifecycle listeners with every cluster manager and starts the
-  // orchestrator (initial placement + timers). Application-server glue listeners must already
-  // be registered on the cluster managers so servers restore state before SM reacts.
+  // Registers lifecycle listeners with every cluster manager and starts the orchestrator
+  // (initial placement + timers). Application-server glue listeners must already be registered
+  // on the cluster managers so servers restore state before SM reacts.
   void Start();
 
-  // Control-plane fault tolerance (§6.2): tears down the current orchestrator + TaskController
-  // and brings up replacements that recover all state from the coordination store. Models a
-  // mini-SM primary failing over to its secondary. Precondition (enforced by SM_CHECK): the
-  // orchestrator is quiescent — no queued or in-flight operations (pending_ops() == 0); see
-  // Orchestrator::Shutdown.
-  void SimulateControlPlaneFailover();
-
-  Orchestrator& orchestrator() { return *orchestrator_; }
-  const Orchestrator& orchestrator() const { return *orchestrator_; }
-  SmTaskController* task_controller() { return task_controller_.get(); }
+  Orchestrator& orchestrator() { return orchestrator_; }
+  const Orchestrator& orchestrator() const { return orchestrator_; }
+  SmTaskController* task_controller() { return &task_controller_; }
   SmAllocator& allocator() { return allocator_; }
-  const AppSpec& spec() const { return orchestrator_->spec(); }
+  const AppSpec& spec() const { return orchestrator_.spec(); }
 
  private:
-  void WireClusterManagers();
-
-  Simulator* sim_;
-  Network* network_;
-  CoordStore* coord_;
-  ServiceDiscovery* discovery_;
-  RegionId home_region_;
-  MiniSmConfig config_;
-  AppSpec app_spec_;
   ServerRegistry* registry_;
   std::vector<ClusterManager*> cluster_managers_;
   SmAllocator allocator_;
-  std::unique_ptr<Orchestrator> orchestrator_;
-  std::unique_ptr<SmTaskController> task_controller_;
-  bool register_task_controller_;
+  Orchestrator orchestrator_;
+  SmTaskController task_controller_;
 };
 
 }  // namespace shardman

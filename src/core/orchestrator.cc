@@ -83,25 +83,6 @@ void Orchestrator::Start() {
   StartTimersAndWatches();
 }
 
-void Orchestrator::StartRecovered() {
-  SM_CHECK(!started_);
-  started_ = true;
-  InitShards();
-  // Ranges must load before assignments: committed splits may have grown the shard table past
-  // the spec count, and their children's assignments only load into existing runtimes.
-  LoadRangesFromCoord();
-  LoadAssignmentsFromCoord();
-  CleanupInactiveShards();
-  // Resume the map version sequence monotonically from the persisted value.
-  Result<std::string> version = coord_->Get("/sm/" + spec_.name + "/map_version");
-  if (version.ok()) {
-    map_version_ = std::stoll(version.value());
-  }
-  MarkMapDirty(/*urgent=*/true);
-  TriggerEmergencyAllocation();  // re-place anything whose server is gone
-  StartTimersAndWatches();
-}
-
 void Orchestrator::LoadAssignmentsFromCoord() {
   const std::string prefix = "/sm/" + spec_.name + "/assign/";
   for (const std::string& path : coord_->List(prefix)) {
@@ -138,13 +119,6 @@ void Orchestrator::LoadAssignmentsFromCoord() {
     // server would restore them — possibly as a second primary — when it returns.
     PersistServerAssignment(server);
   }
-}
-
-void Orchestrator::Shutdown() {
-  SM_CHECK_EQ(in_flight_ops_, 0);
-  SM_CHECK(op_queue_.empty());
-  shut_down_ = true;
-  CancelTimersAndDeferred();
 }
 
 void Orchestrator::CancelTimersAndDeferred() {
@@ -210,7 +184,7 @@ bool Orchestrator::MayWrite() {
 }
 
 bool Orchestrator::PassesWriteFence() const {
-  if (shut_down_ || fenced_) {
+  if (fenced_) {
     return false;
   }
   if (!config_.write_fence) {
@@ -262,7 +236,7 @@ void Orchestrator::MaybeFinishHandoff() {
 }
 
 void Orchestrator::BeginHandoff(std::function<void()> drained) {
-  if (handing_off_ || shut_down_) {
+  if (handing_off_) {
     if (drained) {
       drained();
     }
@@ -1654,7 +1628,7 @@ int64_t Orchestrator::LogStructuralOp(OpKind kind, ShardId shard, int replica, u
 }
 
 Status Orchestrator::SplitShard(ShardId shard, uint64_t split_key) {
-  if (!started_ || fenced_ || handing_off_ || shut_down_) {
+  if (!started_ || fenced_ || handing_off_) {
     return FailedPreconditionError("orchestrator not serving");
   }
   if (!shard.valid() || shard.value >= static_cast<int32_t>(shards_.size())) {
@@ -1767,7 +1741,7 @@ void Orchestrator::CommitSplit(ShardId parent) {
 }
 
 Status Orchestrator::MergeShards(ShardId left, ShardId right) {
-  if (!started_ || fenced_ || handing_off_ || shut_down_) {
+  if (!started_ || fenced_ || handing_off_) {
     return FailedPreconditionError("orchestrator not serving");
   }
   if (!left.valid() || left.value >= static_cast<int32_t>(shards_.size()) || !right.valid() ||
@@ -1831,7 +1805,7 @@ Status Orchestrator::MergeShards(ShardId left, ShardId right) {
       EnqueueOp(std::move(op));
     }
   });
-  // Registered with the retry timers so handoff/shutdown cancels it; an interrupted merge's
+  // Registered with the retry timers so hand-off cancels it; an interrupted merge's
   // leftover copies are reconciled by the successor's CleanupInactiveShards pass.
   retry_timers_[token] = timer;
   return Status::Ok();

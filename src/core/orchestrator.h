@@ -135,28 +135,20 @@ class Orchestrator {
   // Places all shards onto the currently registered servers and starts the periodic timers.
   void Start();
 
-  // Control-plane fault tolerance (§6.2): builds this orchestrator's state from the shard
-  // assignments a previous incarnation persisted in the coordination store, reconciles with
-  // server liveness, and resumes. Shards whose servers are gone are re-placed; the shard-map
-  // version continues monotonically from the persisted value.
-  void StartRecovered();
-
-  // Cancels every timer and deregisters watches so a replacement orchestrator can take over
-  // (the failover path of §6.2). Precondition: quiescent — no queued or in-flight operations,
-  // and at least drop_grace since the last completed migration.
-  void Shutdown();
-
   // -- Replicated control plane (DESIGN.md §11) -------------------------------------------------
-  // Leader-to-follower hand-off without the quiescence precondition: permanently fences this
-  // instance, cancels timers/watches/retries, executes pending linger drops (fence-guarded),
-  // discards queued-but-unstarted operations, and abandons in-flight operations as their
-  // callbacks arrive. `drained` fires once nothing is in flight. Idempotent.
+  // The one teardown: leader-to-follower hand-off, with no quiescence precondition. Permanently
+  // fences this instance, cancels timers/watches/retries, executes pending linger drops
+  // (fence-guarded), discards queued-but-unstarted operations, and abandons in-flight
+  // operations as their callbacks arrive. `drained` fires once nothing is in flight. Idempotent.
   void BeginHandoff(std::function<void()> drained);
 
-  // A freshly elected leader's start path: rebuild from persisted assignments like
-  // StartRecovered, then reconcile the previous leader's in-flight operations from the op-log
-  // `tail` — dropping stray replica copies the dead leader may have created, re-asserting
-  // primaries mid-migration, and finishing interrupted promotions — before resuming placement.
+  // Control-plane fault tolerance (§6.2), a freshly elected leader's start path: rebuilds state
+  // from the shard assignments the previous leader persisted in the coordination store
+  // (continuing the shard-map version monotonically), reconciles with server liveness, then
+  // reconciles the previous leader's in-flight operations from the op-log `tail` — dropping
+  // stray replica copies the dead leader may have created, re-asserting primaries
+  // mid-migration, and finishing interrupted promotions — before resuming placement. Shards
+  // whose servers are gone are re-placed.
   void StartReconciled(const std::vector<PlacementOpRecord>& tail);
 
   bool fenced() const { return fenced_; }
@@ -164,7 +156,7 @@ class Orchestrator {
   int64_t abandoned_ops() const { return abandoned_ops_; }
   int64_t reconciled_ops() const { return reconciled_ops_; }
   // True while this instance's writes would pass the fence (standalone instances always pass
-  // until shutdown). Const: probes the fence without tripping the permanent fenced_ latch.
+  // until handed off). Const: probes the fence without tripping the permanent fenced_ latch.
   bool PassesWriteFence() const;
 
   const AppSpec& spec() const { return spec_; }
@@ -321,7 +313,7 @@ class Orchestrator {
   // retrying, persisting, or publishing. Called at the top of completion callbacks.
   void AbandonOp(const Op& op);
   void MaybeFinishHandoff();
-  // Shared teardown between Shutdown and BeginHandoff: timers, watches, retries, linger drops.
+  // BeginHandoff's teardown: timers, watches, retries, linger drops.
   void CancelTimersAndDeferred();
   // Appends `op` to the replicated op log (no-op without hooks / once fenced). Called by the
   // Execute* paths once the op's target server is resolved, so the record names real endpoints.
@@ -405,8 +397,8 @@ class Orchestrator {
   std::unordered_set<int32_t> busy_shards_;
   int in_flight_ops_ = 0;
 
-  // Deferred work that captures `this` and therefore must be cancelled on Shutdown so a
-  // replacement orchestrator can take over without dangling callbacks: op retries waiting out
+  // Deferred work that captures `this` and therefore must be cancelled on hand-off so a
+  // successor orchestrator can take over without dangling callbacks: op retries waiting out
   // their backoff, and the §4.3 step-5 delayed drops of lingering old primaries.
   struct PendingLingerDrop {
     EventId timer;
@@ -423,7 +415,6 @@ class Orchestrator {
   EventId publish_timer_;
   EventId emergency_timer_;
   int64_t liveness_watch_ = 0;
-  bool shut_down_ = false;
   bool fenced_ = false;       // permanently latched once the write fence rejects us
   bool handing_off_ = false;  // BeginHandoff in progress or finished
   std::function<void()> handoff_done_;

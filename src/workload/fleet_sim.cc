@@ -5,21 +5,12 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/obs/digest.h"
 #include "src/obs/metrics.h"
 
 namespace shardman {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
-
-void Mix(uint64_t& h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ (v & 0xFF)) * kFnvPrime;
-    v >>= 8;
-  }
-}
 
 size_t Log2Bucket(TimeMicros micros, size_t buckets) {
   size_t b = 0;
@@ -271,44 +262,44 @@ FleetTotals FleetSim::Totals() const {
 }
 
 uint64_t FleetSim::StateDigest() const {
-  uint64_t h = kFnvOffset;
-  Mix(h, static_cast<uint64_t>(config_.num_regions));
-  Mix(h, static_cast<uint64_t>(config_.sim_shards));
-  Mix(h, static_cast<uint64_t>(sim_.Now()));
+  uint64_t h = obs::kFnvOffset;
+  obs::FnvMix(h, static_cast<uint64_t>(config_.num_regions));
+  obs::FnvMix(h, static_cast<uint64_t>(config_.sim_shards));
+  obs::FnvMix(h, static_cast<uint64_t>(sim_.Now()));
   for (const auto& st : regions_) {
-    Mix(h, st->issued);
-    Mix(h, st->completed);
-    Mix(h, st->timed_out);
-    Mix(h, st->remote_sent);
-    Mix(h, st->hedged);
-    Mix(h, st->hedge_cancelled);
-    Mix(h, st->latency_sum);
+    obs::FnvMix(h, st->issued);
+    obs::FnvMix(h, st->completed);
+    obs::FnvMix(h, st->timed_out);
+    obs::FnvMix(h, st->remote_sent);
+    obs::FnvMix(h, st->hedged);
+    obs::FnvMix(h, st->hedge_cancelled);
+    obs::FnvMix(h, st->latency_sum);
     for (uint64_t bucket : st->latency_log2) {
-      Mix(h, bucket);
+      obs::FnvMix(h, bucket);
     }
     for (const ServerState& srv : st->servers) {
-      Mix(h, srv.processed);
-      Mix(h, static_cast<uint64_t>(srv.busy_until));
+      obs::FnvMix(h, srv.processed);
+      obs::FnvMix(h, static_cast<uint64_t>(srv.busy_until));
     }
-    Mix(h, static_cast<uint64_t>(st->requests.size()));
-    Mix(h, static_cast<uint64_t>(st->free_slots.size()));
+    obs::FnvMix(h, static_cast<uint64_t>(st->requests.size()));
+    obs::FnvMix(h, static_cast<uint64_t>(st->free_slots.size()));
   }
-  Mix(h, network_->messages_sent());
-  Mix(h, network_->messages_dropped());
-  Mix(h, network_->messages_duplicated());
+  obs::FnvMix(h, network_->messages_sent());
+  obs::FnvMix(h, network_->messages_dropped());
+  obs::FnvMix(h, network_->messages_duplicated());
   for (int r = 0; r < config_.num_regions; ++r) {
     const RegionNetStats& s = network_->region_stats(RegionId(r));
-    Mix(h, s.sent);
-    Mix(h, s.delivered_in);
-    Mix(h, s.dropped_out);
-    Mix(h, s.dropped_in);
-    Mix(h, s.duplicated);
+    obs::FnvMix(h, s.sent);
+    obs::FnvMix(h, s.delivered_in);
+    obs::FnvMix(h, s.dropped_out);
+    obs::FnvMix(h, s.dropped_in);
+    obs::FnvMix(h, s.duplicated);
   }
   for (int i = 0; i < sim_.num_shards(); ++i) {
-    Mix(h, sim_.ExecutedEventsOnShard(i));
+    obs::FnvMix(h, sim_.ExecutedEventsOnShard(i));
   }
-  Mix(h, sim_.cross_shard_messages());
-  Mix(h, sim_.cross_shard_cancels());
+  obs::FnvMix(h, sim_.cross_shard_messages());
+  obs::FnvMix(h, sim_.cross_shard_cancels());
   return h;
 }
 

@@ -5,21 +5,13 @@
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/obs/digest.h"
 #include "src/obs/obs.h"
 
 namespace shardman {
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
 constexpr uint64_t kKeyspace = ~0ULL;  // exclusive end of the uniform app-spec key ranges
-
-void Mix(uint64_t& h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ (v & 0xFF)) * kFnvPrime;
-    v >>= 8;
-  }
-}
 
 }  // namespace
 
@@ -263,41 +255,41 @@ HotspotTotals HotspotSim::Totals() const {
 }
 
 uint64_t HotspotSim::StateDigest() const {
-  uint64_t h = kFnvOffset;
-  Mix(h, static_cast<uint64_t>(config_.regions));
-  Mix(h, static_cast<uint64_t>(config_.sim_shards));
-  Mix(h, config_.seed);
-  Mix(h, static_cast<uint64_t>(testbed_->sharded_sim().Now()));
+  uint64_t h = obs::kFnvOffset;
+  obs::FnvMix(h, static_cast<uint64_t>(config_.regions));
+  obs::FnvMix(h, static_cast<uint64_t>(config_.sim_shards));
+  obs::FnvMix(h, config_.seed);
+  obs::FnvMix(h, static_cast<uint64_t>(testbed_->sharded_sim().Now()));
   // The final shard set: every slot's activity flag and key range, in id order. This is the
   // part a misordered split/merge commit would corrupt first.
   const Orchestrator& orchestrator = testbed_->orchestrator();
-  Mix(h, static_cast<uint64_t>(orchestrator.num_shards()));
+  obs::FnvMix(h, static_cast<uint64_t>(orchestrator.num_shards()));
   for (int s = 0; s < orchestrator.num_shards(); ++s) {
     const ShardId shard(s);
-    Mix(h, orchestrator.shard_active(shard) ? 1 : 0);
-    Mix(h, orchestrator.shard_range(shard).begin);
-    Mix(h, orchestrator.shard_range(shard).end);
+    obs::FnvMix(h, orchestrator.shard_active(shard) ? 1 : 0);
+    obs::FnvMix(h, orchestrator.shard_range(shard).begin);
+    obs::FnvMix(h, orchestrator.shard_range(shard).end);
   }
-  Mix(h, static_cast<uint64_t>(orchestrator.splits()));
-  Mix(h, static_cast<uint64_t>(orchestrator.merges()));
+  obs::FnvMix(h, static_cast<uint64_t>(orchestrator.splits()));
+  obs::FnvMix(h, static_cast<uint64_t>(orchestrator.merges()));
   for (size_t r = 0; r < slo_.size(); ++r) {
-    Mix(h, traffic_[r]->generated);
-    Mix(h, slo_[r]->sent);
-    Mix(h, slo_[r]->ok);
-    Mix(h, slo_[r]->failed);
-    Mix(h, slo_[r]->slo_violations);
-    Mix(h, slo_[r]->latency_sum_us);
+    obs::FnvMix(h, traffic_[r]->generated);
+    obs::FnvMix(h, slo_[r]->sent);
+    obs::FnvMix(h, slo_[r]->ok);
+    obs::FnvMix(h, slo_[r]->failed);
+    obs::FnvMix(h, slo_[r]->slo_violations);
+    obs::FnvMix(h, slo_[r]->latency_sum_us);
     for (uint64_t bucket : slo_[r]->latency_log2) {
-      Mix(h, bucket);
+      obs::FnvMix(h, bucket);
     }
-    Mix(h, slo_[r]->measure_sent);
-    Mix(h, slo_[r]->measure_violations);
+    obs::FnvMix(h, slo_[r]->measure_sent);
+    obs::FnvMix(h, slo_[r]->measure_violations);
     for (uint64_t bucket : slo_[r]->measure_log2) {
-      Mix(h, bucket);
+      obs::FnvMix(h, bucket);
     }
   }
   for (const auto& router : routers_) {
-    Mix(h, router->map() != nullptr ? static_cast<uint64_t>(router->map()->version) : 0);
+    obs::FnvMix(h, router->map() != nullptr ? static_cast<uint64_t>(router->map()->version) : 0);
   }
   return h;
 }

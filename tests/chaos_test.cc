@@ -25,6 +25,9 @@ TestbedConfig ChaosBedConfig(TestAppKind kind, uint64_t seed) {
   config.app_kind = kind;
   config.mini_sm.orchestrator.periodic_alloc_interval = Seconds(20);
   config.mini_sm.orchestrator.failover_grace = Seconds(8);
+  // The replicated control plane puts leader loss, the one control-plane failover, into the
+  // default fault mix.
+  config.smr_control_plane = true;
   config.seed = seed;
   return config;
 }
@@ -48,6 +51,7 @@ struct ChaosRunFingerprint {
   int64_t map_version = 0;
   int64_t probe_succeeded = 0;
   int64_t faults = 0;
+  int64_t failovers = 0;
 };
 
 ChaosRunFingerprint RunChaosOnce(uint64_t seed) {
@@ -73,6 +77,7 @@ ChaosRunFingerprint RunChaosOnce(uint64_t seed) {
   fp.map_version = bed.orchestrator().published_versions();
   fp.probe_succeeded = probe.total_succeeded();
   fp.faults = injector.faults_injected();
+  fp.failovers = bed.replica_set()->failovers();
   return fp;
 }
 
@@ -84,6 +89,9 @@ TEST(ChaosDeterminism, SameSeedSameJournalAndState) {
   EXPECT_EQ(a.journal, b.journal);
   EXPECT_EQ(a.map_version, b.map_version);
   EXPECT_EQ(a.probe_succeeded, b.probe_succeeded);
+  // The soak exercises the control-plane failover path, identically in both runs.
+  EXPECT_GT(a.failovers, 0);
+  EXPECT_EQ(a.failovers, b.failovers);
 }
 
 TEST(ChaosDeterminism, DifferentSeedsDiverge) {

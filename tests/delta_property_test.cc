@@ -12,8 +12,6 @@
 //      injected gaps. The chaos engine's map-delivery-loss fault composes with real churn.
 //   4. Router equivalence: incremental cache patching yields identical PickTarget decisions
 //      to full rebuilds across failover publishes (cache_rebuilds flat, cache_patches rising).
-//   5. Regression: MiniSm::SimulateControlPlaneFailover refuses (SM_CHECK) to run with
-//      orchestrator ops in flight instead of silently corrupting state.
 
 #include <gtest/gtest.h>
 
@@ -526,35 +524,6 @@ TEST(RouterEquivalence, PatchedCacheMatchesFullRebuildAcrossFailover) {
   EXPECT_EQ(delta.cache_rebuilds, 1);
   EXPECT_GT(delta.cache_patches, 1);
   EXPECT_EQ(delta.cache_rebuilds + delta.cache_patches, snapshot.cache_rebuilds);
-}
-
-// -- 5. Control-plane failover quiescence ------------------------------------------------------
-
-TEST(MiniSmFailoverDeathTest, RefusesFailoverWithOpsInFlight) {
-  TestbedConfig config;
-  config.regions = {"r0"};
-  config.servers_per_region = 4;
-  config.app = MakeUniformAppSpec(AppId(1), "failover-check", 8,
-                                  ReplicationStrategy::kPrimarySecondary, 2);
-  config.app.placement.metrics = MetricSet({"cpu"});
-  config.seed = 717;
-  Testbed bed(config);
-  bed.Start();
-  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(3)));
-  ASSERT_EQ(bed.orchestrator().pending_ops(), 0);
-
-  // A quiescent failover is legal (the documented precondition holds)...
-  bed.mini_sm().SimulateControlPlaneFailover();
-  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(3)));
-
-  // ...but with operations queued/in flight it must die loudly instead of destroying the
-  // orchestrator that owns their completion callbacks.
-  EXPECT_DEATH(
-      {
-        bed.orchestrator().DrainServer(bed.servers().front(), true, true, []() {});
-        bed.mini_sm().SimulateControlPlaneFailover();
-      },
-      "SM_CHECK");
 }
 
 }  // namespace

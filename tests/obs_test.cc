@@ -431,9 +431,8 @@ TEST(LifecycleTrace, AllLifecycleStagesAreRecorded) {
 }
 
 // A fig17-style rolling upgrade at small scale: this exercises the TaskController (container
-// restarts are what get negotiated) and — unlike the chaos run, whose control-plane-failover
-// fault replaces the orchestrator instance mid-run — keeps one orchestrator alive end to end,
-// so its accessors and the global registry must agree exactly.
+// restarts are what get negotiated) and keeps one orchestrator alive end to end, so its
+// accessors and the global registry must agree exactly.
 ObsRunResult RunInstrumentedUpgrade(uint64_t seed) {
   obs::DefaultMetrics().ResetValues();
   obs::DefaultTracer().Clear();

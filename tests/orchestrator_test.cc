@@ -292,11 +292,14 @@ std::string StreamFormattedAssignment(const Orchestrator& orch, ServerId server)
 }
 
 TEST(OrchestratorTest, AssignmentRecordIsByteStableAndRestoredByRecovery) {
-  Testbed bed(SmallConfig(ReplicationStrategy::kPrimarySecondary, 3, /*shards=*/12,
-                          /*regions=*/1, /*servers_per_region=*/4));
+  TestbedConfig config = SmallConfig(ReplicationStrategy::kPrimarySecondary, 3, /*shards=*/12,
+                                     /*regions=*/1, /*servers_per_region=*/4);
+  config.smr_control_plane = true;
+  config.smr.replica_regions = {RegionId(0), RegionId(0)};  // leader plus a standby
+  Testbed bed(config);
   bed.Start();
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(3)));
-  bed.sim().RunFor(Seconds(10));  // quiesce: the recovery shim needs no op in flight
+  bed.sim().RunFor(Seconds(10));  // quiesce: no op in flight moves a replica under the snapshot
   ASSERT_EQ(bed.orchestrator().pending_ops(), 0);
 
   const Orchestrator& orch = bed.orchestrator();
@@ -324,9 +327,14 @@ TEST(OrchestratorTest, AssignmentRecordIsByteStableAndRestoredByRecovery) {
     }
   }
 
-  // A replacement orchestrator rebuilds every binding and role from the records alone, then
-  // re-persists each server's record in the same format.
-  bed.mini_sm().SimulateControlPlaneFailover();
+  // The standby's orchestrator rebuilds every binding and role from the records alone, then
+  // re-persists each server's record in the same format. Stop as soon as it has taken over.
+  bed.replica_set()->KillLeader();
+  const TimeMicros deadline = bed.sim().Now() + Minutes(1);
+  while (bed.replica_set()->failovers() == 0 && bed.sim().Now() < deadline) {
+    bed.sim().RunFor(Millis(1));
+  }
+  ASSERT_EQ(bed.replica_set()->failovers(), 1);
   const Orchestrator& recovered = bed.orchestrator();
   size_t i = 0;
   for (int s = 0; s < recovered.num_shards(); ++s) {

@@ -22,8 +22,17 @@ TestbedConfig BaseConfig(int shards = 12, int regions = 1, int servers = 4) {
   return config;
 }
 
+// Control-plane failover (§6.2) runs on the replicated control plane: killing the leader hands
+// off to a standby (here in the same region) that rebuilds from the coordination store.
+TestbedConfig SmrBedConfig() {
+  TestbedConfig config = BaseConfig();
+  config.smr_control_plane = true;
+  config.smr.replica_regions = {RegionId(0), RegionId(0)};
+  return config;
+}
+
 TEST(ControlPlaneRecoveryTest, FailoverPreservesAssignmentsAndVersions) {
-  Testbed bed(BaseConfig());
+  Testbed bed(SmrBedConfig());
   bed.Start();
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(2)));
   bed.sim().RunFor(Seconds(10));  // quiesce past any drop-grace windows
@@ -35,10 +44,11 @@ TEST(ControlPlaneRecoveryTest, FailoverPreservesAssignmentsAndVersions) {
   }
   int64_t version_before = bed.orchestrator().published_versions();
 
-  bed.mini_sm().SimulateControlPlaneFailover();
+  bed.replica_set()->KillLeader();
   bed.sim().RunFor(Seconds(5));
 
-  // The replacement recovered the same assignment — zero shard moves from the failover.
+  // The successor recovered the same assignment — zero shard moves from the failover.
+  ASSERT_EQ(bed.replica_set()->failovers(), 1);
   ASSERT_TRUE(bed.orchestrator().AllReady());
   for (int s = 0; s < bed.spec().num_shards(); ++s) {
     EXPECT_EQ(bed.orchestrator().replica_server(ShardId(s), 0), before[static_cast<size_t>(s)]);
@@ -51,7 +61,7 @@ TEST(ControlPlaneRecoveryTest, FailoverPreservesAssignmentsAndVersions) {
 }
 
 TEST(ControlPlaneRecoveryTest, FailoverRePlacesShardsOfDeadServers) {
-  Testbed bed(BaseConfig());
+  Testbed bed(SmrBedConfig());
   bed.Start();
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(2)));
   bed.sim().RunFor(Seconds(10));
@@ -62,10 +72,11 @@ TEST(ControlPlaneRecoveryTest, FailoverRePlacesShardsOfDeadServers) {
   auto victim_shards = bed.orchestrator().ReplicasOn(victim);
   ASSERT_FALSE(victim_shards.empty());
   bed.cluster_manager(RegionId(0)).FailContainer(ContainerId(victim.value), /*downtime=*/-1);
-  bed.mini_sm().SimulateControlPlaneFailover();
+  bed.replica_set()->KillLeader();
 
   // The recovered orchestrator re-places the dead server's shards.
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(3)));
+  EXPECT_EQ(bed.replica_set()->failovers(), 1);
   for (const auto& [shard, role] : victim_shards) {
     ServerId now = bed.orchestrator().replica_server(shard, 0);
     EXPECT_NE(now, victim);
@@ -81,7 +92,7 @@ TEST(ControlPlaneRecoveryTest, RequestsFlowWhileControlPlaneIsDown) {
   bed.Start();
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(2)));
   bed.sim().RunFor(Seconds(10));
-  bed.orchestrator().Shutdown();  // control plane gone; servers and maps remain
+  bed.orchestrator().BeginHandoff(nullptr);  // control plane gone; servers and maps remain
 
   auto router = bed.CreateRouter(RegionId(0));
   bed.sim().RunFor(Seconds(2));
