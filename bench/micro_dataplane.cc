@@ -6,14 +6,15 @@
 //      hands every subscriber the same immutable map.
 //   3. Router target selection — PickTarget against the per-version routing cache, with the
 //      binary-wide allocation counter asserting the fast path stays heap-free.
-//   4. End-to-end Route through loopback servers (two simulated network hops per attempt).
+//   4. End-to-end Route through loopback servers (two simulated network hops per attempt),
+//      with heap allocations per routed request from the same binary-wide counter.
 //   5. Delta dissemination (DESIGN.md §10) — a 100k-shard app under steady rebalancing,
 //      published to router subscribers in snapshot mode vs delta mode. Reports disseminated
 //      entries and per-publish apply cost for both, the reduction factors, and verifies the
 //      two modes leave every subscriber byte-identical (nonzero exit on divergence).
 //
-// Emits one flat JSON object (stdout + SM_DATAPLANE_OUT, default BENCH_dataplane.json in the
-// working directory) plus the delta comparison (SM_DELTA_OUT, default BENCH_delta.json). The
+// Emits one flat JSON object headed by the host stamp (bench_util.h HostStampJson; stdout +
+// SM_DATAPLANE_OUT, default BENCH_dataplane.json in the working directory) plus the delta comparison (SM_DELTA_OUT, default BENCH_delta.json). The
 // committed BENCH_dataplane.json pairs a frozen pre-optimization run ("before") with a current
 // run ("after"); scripts/check_bench_regression.py compares fresh CI numbers against both
 // baselines advisorily. SM_BENCH_SCALE (e.g. 0.1) shrinks iteration counts for smoke runs; the
@@ -38,9 +39,9 @@
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 
-// Binary-wide allocation counter for allocs_per_pick. Replacing operator new is incompatible
-// with ASan's allocator interception, so the overrides are compiled out under sanitizers
-// (allocs_per_pick then reads 0 regardless — use a plain build for that number).
+// Binary-wide allocation counter for allocs_per_pick and allocs_per_route. Replacing operator
+// new is incompatible with ASan's allocator interception, so the overrides are compiled out
+// under sanitizers (both then read 0 regardless — use a plain build for those numbers).
 #if defined(__SANITIZE_ADDRESS__)
 #define SM_COUNT_ALLOCS 0
 #elif defined(__has_feature)
@@ -132,6 +133,7 @@ struct BenchResult {
   double routed_requests_per_sec = 0.0;
   double allocs_per_pick = 0.0;
   double route_end_to_end_per_sec = 0.0;
+  double allocs_per_route = 0.0;
   long long route_ok = 0;
 };
 
@@ -237,6 +239,7 @@ void BenchRouting(double scale, BenchResult* out) {
   const long long kRoutes = static_cast<long long>(200000 * scale);
   long long ok = 0;
   long long issued = 0;
+  long long route_allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
   double t1 = NowSeconds();
   std::function<void()> pump = [&]() {
     for (int b = 0; b < 200 && issued < kRoutes; ++b, ++issued) {
@@ -250,8 +253,10 @@ void BenchRouting(double scale, BenchResult* out) {
   pump();
   sim.RunAll();
   double dt1 = NowSeconds() - t1;
+  long long route_allocs = g_heap_allocs.load(std::memory_order_relaxed) - route_allocs_before;
   out->route_ok = ok;
   out->route_end_to_end_per_sec = static_cast<double>(kRoutes) / dt1;
+  out->allocs_per_route = static_cast<double>(route_allocs) / static_cast<double>(kRoutes);
 }
 
 // 5. Delta dissemination: a 100k-shard map (the acceptance scenario) published to router
@@ -390,11 +395,10 @@ void WriteDeltaJson(const DeltaResult& r, double scale, std::ostream& os) {
   os << buffer;
 }
 
-void WriteJson(const BenchResult& r, double scale, std::ostream& os) {
+void WriteJson(const BenchResult& r, double scale, const std::string& host_stamp,
+               std::ostream& os) {
   char buffer[640];
   std::snprintf(buffer, sizeof(buffer),
-                "{\n"
-                "  \"bench\": \"micro_dataplane\",\n"
                 "  \"scale\": %g,\n"
                 "  \"events_per_sec\": %.0f,\n"
                 "  \"events_executed\": %lld,\n"
@@ -403,12 +407,13 @@ void WriteJson(const BenchResult& r, double scale, std::ostream& os) {
                 "  \"routed_requests_per_sec\": %.0f,\n"
                 "  \"allocs_per_pick\": %.4f,\n"
                 "  \"route_end_to_end_per_sec\": %.0f,\n"
+                "  \"allocs_per_route\": %.2f,\n"
                 "  \"route_ok\": %lld\n"
                 "}\n",
                 scale, r.events_per_sec, r.events_executed, r.publishes_per_sec, r.publishes,
                 r.routed_requests_per_sec, r.allocs_per_pick, r.route_end_to_end_per_sec,
-                r.route_ok);
-  os << buffer;
+                r.allocs_per_route, r.route_ok);
+  os << "{\n  \"bench\": \"micro_dataplane\",\n  " << host_stamp << ",\n" << buffer;
 }
 
 int Run() {
@@ -418,11 +423,12 @@ int Run() {
   BenchDissemination(scale, &result);
   BenchRouting(scale, &result);
 
-  WriteJson(result, scale, std::cout);
+  const std::string host_stamp = bench::HostStampJson();
+  WriteJson(result, scale, host_stamp, std::cout);
   const char* out_path = std::getenv("SM_DATAPLANE_OUT");
   std::ofstream file(out_path != nullptr ? out_path : "BENCH_dataplane.json");
   if (file) {
-    WriteJson(result, scale, file);
+    WriteJson(result, scale, host_stamp, file);
   }
 
   DeltaResult delta = BenchDelta(scale);

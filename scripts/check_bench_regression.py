@@ -5,7 +5,10 @@ Compares a fresh bench run against its committed baseline. Three bench formats
 are recognised by their "bench" field:
 
 * micro_dataplane (BENCH_dataplane.json, "after" block): throughput rates must
-  not drop more than the threshold, and allocs_per_pick must be 0.
+  not drop more than the threshold, allocs_per_pick must be 0, and
+  allocs_per_route (heap allocations per end-to-end routed request, a count
+  that does not depend on runner speed or scale) must not exceed the committed
+  value.
 * delta_dissemination (BENCH_delta.json): the snapshot-vs-delta reduction
   factors must not drop more than the threshold, entries_reduction_x must stay
   >= 5 (the acceptance floor — it is scale-independent), and maps_identical
@@ -97,6 +100,16 @@ def check_dataplane(reference, fresh, threshold):
         if allocs > 0:
             warnings.append(f"allocs_per_pick is {allocs}, expected 0 "
                             "(router fast path should be allocation-free)")
+
+    base_route = reference.get("allocs_per_route")
+    route = fresh.get("allocs_per_route")
+    if base_route is not None and route is not None:
+        grew = route > base_route
+        print(f"{'WARN' if grew else 'ok':4} allocs_per_route: baseline {base_route} "
+              f"fresh {route}")
+        if grew:
+            warnings.append(f"allocs_per_route grew to {route} (baseline {base_route}): "
+                            "the request path gained a heap allocation")
     return warnings
 
 

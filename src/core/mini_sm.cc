@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "src/common/check.h"
-
 namespace shardman {
 
 MiniSm::MiniSm(Simulator* sim, Network* network, CoordStore* coord, ServiceDiscovery* discovery,
@@ -15,13 +13,7 @@ MiniSm::MiniSm(Simulator* sim, Network* network, CoordStore* coord, ServiceDisco
       orchestrator_(sim, network, coord, discovery, registry, &allocator_, std::move(spec),
                     home_region, config.orchestrator),
       task_controller_(sim, &orchestrator_, registry, orchestrator_.spec()) {
-  for (ClusterManager* cm : cluster_managers_) {
-    SM_CHECK(cm != nullptr);
-    task_controller_.TrackClusterManager(cm);
-    if (config.register_task_controller) {
-      cm->RegisterTaskController(orchestrator_.spec().id, &task_controller_);
-    }
-  }
+  task_controller_.AttachClusterManagers(cluster_managers_, config.register_task_controller);
 }
 
 void MiniSm::Start() {

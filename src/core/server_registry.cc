@@ -56,23 +56,46 @@ std::vector<ServerId> ServerRegistry::ServersOf(AppId app) const {
 
 namespace {
 
-// Arms a client-side timeout around a response callback: whichever of {response, timeout}
-// arrives first wins, the loser is a no-op. Essential on a real network — a dropped message
-// (e.g. across a partition) otherwise leaves the caller waiting forever.
+// The one heap record of an in-flight call: the caller's callback, the response the timeout
+// delivers, and whether the call has completed. The timer and every network hop hold a pointer
+// to this record and nothing else of the caller's, so the caller's closure is moved in once and
+// never copied per hop. It must not be reachable from its own `done` (a reference cycle).
 template <typename Response>
-std::function<void(const Response&)> WithTimeout(Simulator* sim, TimeMicros timeout,
-                                                 std::function<void(const Response&)> done,
-                                                 Response timeout_response) {
-  auto fired = std::make_shared<bool>(false);
-  auto guarded = [fired, done](const Response& response) {
-    if (*fired) {
+struct CallRecord {
+  CallRecord(std::function<void(const Response&)> callback, Response timeout)
+      : done(std::move(callback)), timeout_response(std::move(timeout)) {}
+
+  // Whichever of {response, timeout} arrives first wins; the loser, like a duplicated reply, is
+  // a no-op. The winner moves `done` out and releases it after running it, so the caller's
+  // closure dies with the first completion rather than with the last holder of the record.
+  void Complete(const Response& response) {
+    if (fired) {
       return;
     }
-    *fired = true;
-    done(response);
-  };
-  sim->Schedule(timeout, [guarded, timeout_response]() { guarded(timeout_response); });
-  return guarded;
+    fired = true;
+    std::function<void(const Response&)> callback = std::move(done);
+    done = nullptr;
+    callback(response);
+  }
+
+  std::function<void(const Response&)> done;
+  Response timeout_response;
+  bool fired = false;
+};
+
+// Creates the call's record and arms its client-side timeout. Essential on a real network — a
+// dropped message (e.g. across a partition) otherwise leaves the caller waiting forever. The
+// timer is scheduled first and never cancelled: when the reply wins it stays queued as a no-op.
+// Cancelling it would move the sharded simulator's window starts and with them same-instant
+// tie-breaks (DESIGN.md §13).
+template <typename Response>
+std::shared_ptr<CallRecord<Response>> StartCall(Simulator* sim, TimeMicros timeout,
+                                                std::function<void(const Response&)> done,
+                                                Response timeout_response) {
+  auto call = std::make_shared<CallRecord<Response>>(std::move(done),
+                                                     std::move(timeout_response));
+  sim->Schedule(timeout, [call]() { call->Complete(call->timeout_response); });
+  return call;
 }
 
 }  // namespace
@@ -80,8 +103,8 @@ std::function<void(const Response&)> WithTimeout(Simulator* sim, TimeMicros time
 void CallControl(Network& network, RegionId caller_region, ServerRegistry& registry,
                  ServerId target, std::function<Status(ShardServerApi&)> fn,
                  std::function<void(const Status&)> done, TimeMicros timeout) {
-  auto guarded = WithTimeout<Status>(network.sim(), timeout, std::move(done),
-                                     UnavailableError("rpc timeout"));
+  auto call = StartCall<Status>(network.sim(), timeout, std::move(done),
+                                UnavailableError("rpc timeout"));
   ServerHandle* handle = registry.Get(target);
   if (handle == nullptr) {
     return;  // resolved by the timeout
@@ -89,14 +112,14 @@ void CallControl(Network& network, RegionId caller_region, ServerRegistry& regis
   RegionId server_region = handle->region;
   network.Send(caller_region, server_region,
                [&network, &registry, target, caller_region, server_region, fn = std::move(fn),
-                guarded]() {
+                call]() {
                  ServerHandle* h = registry.Get(target);
                  if (h == nullptr || !h->alive || h->api == nullptr) {
                    return;  // no response; the caller's timeout fires
                  }
                  Status status = fn(*h->api);
                  network.Send(server_region, caller_region,
-                              [guarded, status]() { guarded(status); });
+                              [call, status]() { call->Complete(status); });
                });
 }
 
@@ -105,8 +128,7 @@ void CallData(Network& network, RegionId caller_region, ServerRegistry& registry
   Reply timeout_reply;
   timeout_reply.status = UnavailableError("rpc timeout");
   timeout_reply.served_by = target;
-  auto guarded =
-      WithTimeout<Reply>(network.sim(), timeout, std::move(done), std::move(timeout_reply));
+  auto call = StartCall<Reply>(network.sim(), timeout, std::move(done), std::move(timeout_reply));
   ServerHandle* handle = registry.Get(target);
   if (handle == nullptr) {
     return;  // resolved by the timeout
@@ -114,14 +136,14 @@ void CallData(Network& network, RegionId caller_region, ServerRegistry& registry
   RegionId server_region = handle->region;
   network.Send(
       caller_region, server_region,
-      [&network, &registry, target, caller_region, server_region, request, guarded]() {
+      [&network, &registry, target, caller_region, server_region, request, call]() {
         ServerHandle* h = registry.Get(target);
         if (h == nullptr || !h->alive || h->api == nullptr) {
           return;  // no response; the caller's timeout fires
         }
-        h->api->HandleRequest(request, [&network, server_region, caller_region, guarded](
+        h->api->HandleRequest(request, [&network, server_region, caller_region, call](
                                            const Reply& reply) {
-          network.Send(server_region, caller_region, [guarded, reply]() { guarded(reply); });
+          network.Send(server_region, caller_region, [call, reply]() { call->Complete(reply); });
         });
       });
 }

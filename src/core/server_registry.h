@@ -55,6 +55,9 @@ class ServerRegistry {
 // Invokes `fn` against the target server's API after one network hop, delivering the Status back
 // to the caller's region after a second hop. If the server is dead at delivery time (or dies in
 // between), `done` receives UnavailableError after `timeout` instead — modeling an RPC timeout.
+// Each call keeps `done` in one heap record that the timer and every hop point to; `done` runs
+// at most once, on the first completion, and is released right after. A late or duplicated
+// completion is a no-op.
 void CallControl(Network& network, RegionId caller_region, ServerRegistry& registry,
                  ServerId target, std::function<Status(ShardServerApi&)> fn,
                  std::function<void(const Status&)> done, TimeMicros timeout = Seconds(1));

@@ -1,5 +1,6 @@
 #include "src/core/sm_library.h"
 
+#include <memory>
 #include <sstream>
 
 #include "src/common/check.h"
@@ -61,17 +62,17 @@ void SmLibrary::WatchShardMap(ServiceDiscovery* discovery, AppId app) {
   map_subscription_ = discovery->SubscribeDelta(
       app,
       [this](const std::shared_ptr<const ShardMap>& map) {
-        map_view_ = map;
-        owned_map_.reset();  // back on the shared zero-copy snapshot
+        map_delivered_ = true;
+        map_app_ = map->app;
+        map_version_ = map->version;
         SM_COUNTER_INC("sm.smlib.map_updates");
       },
       [this](const std::shared_ptr<const ShardMapDelta>& delta) {
-        SM_CHECK(map_view_ != nullptr);  // deltas only chain onto a delivered snapshot
-        if (owned_map_ == nullptr || map_view_.get() != owned_map_.get()) {
-          owned_map_ = std::make_shared<ShardMap>(*map_view_);
-          map_view_ = owned_map_;
-        }
-        SM_CHECK(ApplyShardMapDelta(*delta, owned_map_.get()));
+        // Deltas only chain onto a delivered map, on exactly the app/version check
+        // ApplyShardMapDelta makes.
+        SM_CHECK(map_delivered_);
+        SM_CHECK(delta->app == map_app_ && delta->from_version == map_version_);
+        map_version_ = delta->to_version;
         SM_COUNTER_INC("sm.smlib.map_updates");
         SM_COUNTER_INC("sm.smlib.map_patches");
       });

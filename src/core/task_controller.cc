@@ -16,6 +16,17 @@ SmTaskController::SmTaskController(Simulator* sim, Orchestrator* orchestrator,
   SM_CHECK(registry != nullptr);
 }
 
+void SmTaskController::AttachClusterManagers(const std::vector<ClusterManager*>& cluster_managers,
+                                             bool register_handler) {
+  for (ClusterManager* cm : cluster_managers) {
+    SM_CHECK(cm != nullptr);
+    cluster_managers_.push_back(cm);
+    if (register_handler) {
+      cm->RegisterTaskController(spec_.id, this);
+    }
+  }
+}
+
 int SmTaskController::TotalContainers() const {
   int total = 0;
   for (ClusterManager* cm : cluster_managers_) {

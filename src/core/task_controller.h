@@ -46,9 +46,13 @@ class SmTaskController : public TaskControlHandler {
   int64_t approvals() const { return approvals_; }
   int64_t deferrals() const { return deferrals_; }
 
-  // Registers an additional cluster manager so the global cap can count every region's
-  // containers (MiniSm wires this).
-  void TrackClusterManager(ClusterManager* cm) { cluster_managers_.push_back(cm); }
+  // Wires this controller into a mini-SM (MiniSm, or an SMR leadership term): tracks every
+  // cluster manager hosting the app so the global cap counts every region's containers, and,
+  // when `register_handler` is set, registers this controller as the app's handler with each.
+  // Registration overwrites, so a new leadership term re-points the cluster managers at its
+  // controller. The Fig. 17 "no TaskController" ablation passes `register_handler` false.
+  void AttachClusterManagers(const std::vector<ClusterManager*>& cluster_managers,
+                             bool register_handler);
 
  private:
   enum class DrainPhase { kNotStarted, kInProgress, kDone };

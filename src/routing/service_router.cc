@@ -302,7 +302,7 @@ void ServiceRouter::Send(Attempt attempt) {
   if (!target.valid()) {
     Reply reply;
     reply.status = UnavailableError("no routable replica");
-    Finish(attempt, reply);
+    Finish(std::move(attempt), reply);
     return;
   }
   attempt.target = target;
@@ -312,12 +312,12 @@ void ServiceRouter::Send(Attempt attempt) {
   auto self = this;
   CallData(*network_, client_region_, *registry_, target, request,
            [self, attempt = std::move(attempt)](const Reply& reply) mutable {
-             self->Finish(attempt, reply);
+             self->Finish(std::move(attempt), reply);
            },
            config_.request_timeout);
 }
 
-void ServiceRouter::Finish(const Attempt& attempt, const Reply& reply) {
+void ServiceRouter::Finish(Attempt&& attempt, const Reply& reply) {
 #if SHARDMAN_OBS_ENABLED
   // Per-attempt RED accounting: the replica/link signal the gray-failure scorer consumes.
   // Timeouts carry no failure detail from the server, so classify by elapsed time — an
@@ -339,12 +339,12 @@ void ServiceRouter::Finish(const Attempt& attempt, const Reply& reply) {
   }
 #endif
   if (!reply.status.ok() && attempt.attempt < config_.max_attempts) {
-    Attempt retry = attempt;
+    Attempt retry = std::move(attempt);
     ++retry.attempt;
     // Avoid the server that just failed. A timed-out attempt carries no served_by, so fall
     // back to the server we actually sent to — otherwise the retry could re-pick it while
     // still consuming an attempt slot.
-    retry.exclude = reply.served_by.valid() ? reply.served_by : attempt.target;
+    retry.exclude = reply.served_by.valid() ? reply.served_by : retry.target;
     SM_COUNTER_INC("sm.router.retries");
     sim_->Schedule(config_.retry_backoff,
                    [this, retry = std::move(retry)]() mutable { Send(std::move(retry)); });

@@ -166,7 +166,7 @@ class ServiceRouter {
            demoted_[server.value] != 0;
   }
   void Send(Attempt attempt);
-  void Finish(const Attempt& attempt, const Reply& reply);
+  void Finish(Attempt&& attempt, const Reply& reply);
 
   Simulator* sim_;
   Network* network_;

@@ -117,15 +117,8 @@ void ControlPlaneReplicaSet::OnLeaseAcquired(Replica* replica) {
                                                          replica->region, config);
   replica->task_controller = std::make_unique<SmTaskController>(
       sim_, replica->orchestrator.get(), registry_, replica->orchestrator->spec());
-  const AppId app = app_spec_.id;
-  for (ClusterManager* cm : cluster_managers_) {
-    replica->task_controller->TrackClusterManager(cm);
-    if (base_.register_task_controller) {
-      // RegisterTaskController overwrites: each leadership term re-points the cluster managers
-      // at the live controller.
-      cm->RegisterTaskController(app, replica->task_controller.get());
-    }
-  }
+  replica->task_controller->AttachClusterManagers(cluster_managers_,
+                                                  base_.register_task_controller);
   last_epoch_ = epoch;
   SM_GAUGE_SET("sm.smr.leadership_epoch", epoch);
   if (first_takeover_) {

@@ -275,6 +275,56 @@ TEST(SimulatorFastPath, SmallCallbackScheduleAllocatesNothingInSteadyState) {
   EXPECT_EQ(fired, 512 + 100 * 256);
 }
 
+// A server that answers at once, so a round trip measures only the RPC helper.
+struct LoopbackServer : public ShardServerApi {
+  Status AddShard(ShardId, ReplicaRole) override { return Status::Ok(); }
+  Status DropShard(ShardId) override { return Status::Ok(); }
+  Status ChangeRole(ShardId, ReplicaRole, ReplicaRole) override { return Status::Ok(); }
+  Status PrepareAddShard(ShardId, ServerId, ReplicaRole) override { return Status::Ok(); }
+  Status PrepareDropShard(ShardId, ServerId, ReplicaRole) override { return Status::Ok(); }
+  ShardLoadReport ReportLoads() override { return {}; }
+  void HandleRequest(const Request&, ReplyCallback done) override {
+    Reply reply;
+    reply.served_by = ServerId(1);
+    done(reply);
+  }
+};
+
+TEST(RpcFastPath, CallDataRoundTripAllocationsArePinned) {
+  Simulator sim;
+  Network network(&sim, LatencyModel(1, Millis(1), Millis(1)), 3);
+  ServerRegistry registry;
+  LoopbackServer server;
+  ServerHandle handle;
+  handle.id = ServerId(1);
+  handle.container = ContainerId(1);
+  handle.app = AppId(1);
+  handle.region = RegionId(0);
+  handle.api = &server;
+  registry.Register(handle);
+  Request request;
+  request.app = AppId(1);
+  request.shard = ShardId(0);
+  int ok = 0;
+  auto round_trip = [&]() {
+    CallData(network, RegionId(0), registry, ServerId(1), request,
+             [&ok](const Reply& reply) { ok += reply.ok() ? 1 : 0; });
+    sim.RunAll();  // reply, then the timer as a no-op
+  };
+  round_trip();  // warm up the event pool
+  const int kRounds = 100;
+  int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < kRounds; ++i) {
+    round_trip();
+  }
+  int64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(ok, kRounds + 1);
+  // The call record, the request hop, the server's reply callback and the reply hop. Before
+  // the record, a guarded copy of the caller's callback went into the timer and every hop: 9
+  // per round trip here, and more when the callback itself lives on the heap (the router's).
+  EXPECT_LE(allocs, 4 * kRounds) << "CallData round trip allocated more than pinned";
+}
+
 // -- Retry accounting --------------------------------------------------------------------------
 
 TEST(RouterRetries, TimedOutAttemptExcludesItsTargetAndCountsRetry) {

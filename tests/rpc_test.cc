@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/core/server_registry.h"
 #include "src/core/sm_library.h"
 #include "src/apps/kv_store_app.h"
@@ -113,6 +115,142 @@ TEST(CallDataTest, DeliversRequestAndReply) {
   EXPECT_EQ(reply.served_by, ServerId(1));
   EXPECT_EQ(app->ShardSize(ShardId(0)), 1u);
 }
+
+// ---- Reply/timeout races, for both helpers --------------------------------------------------
+//
+// Every call keeps its `done` in one record shared by the timer and the network hops. Whichever
+// completion comes first runs `done` and releases it; every later one is a no-op.
+
+enum class RpcKind { kControl, kData };
+
+struct RaceOutcome {
+  int done_calls = 0;
+  bool ok = false;
+  TimeMicros done_at = -1;
+};
+
+class RpcRaceTest : public ::testing::TestWithParam<RpcKind> {
+ protected:
+  RpcRaceTest() {
+    app_ = fx_.AddServer(ServerId(1), RegionId(1));
+    EXPECT_TRUE(app_->AddShard(ShardId(0), ReplicaRole::kPrimary).ok());
+  }
+
+  // Sends one call from region 0 to server 1 (40 ms each way, 1 ms processing for data).
+  // `done` holds `sentinel`, so `sentinel.expired()` tells whether `done` has been released.
+  void Invoke(TimeMicros timeout) {
+    auto held = std::make_shared<int>(0);
+    sentinel_ = held;
+    auto record = [this, held](bool ok) {
+      ++outcome_.done_calls;
+      outcome_.ok = ok;
+      outcome_.done_at = fx_.sim.Now();
+    };
+    if (GetParam() == RpcKind::kControl) {
+      CallControl(fx_.network, RegionId(0), fx_.registry, ServerId(1),
+                  [this](ShardServerApi&) {
+                    ++server_calls_;
+                    return Status::Ok();
+                  },
+                  [record](const Status& s) { record(s.ok()); }, timeout);
+    } else {
+      Request request;
+      request.app = AppId(1);
+      request.shard = ShardId(0);
+      request.type = RequestType::kRead;
+      CallData(fx_.network, RegionId(0), fx_.registry, ServerId(1), request,
+               [record](const Reply& r) { record(r.ok()); }, timeout);
+    }
+  }
+
+  // Server-side executions: the control fn's count, or the app's served-request count.
+  int64_t ServerCalls() const {
+    return GetParam() == RpcKind::kControl ? server_calls_ : app_->served_requests();
+  }
+  // When the reply reaches the caller without jitter: two hops, plus processing for data.
+  TimeMicros ReplyAt() const {
+    return Millis(80) + (GetParam() == RpcKind::kData ? Millis(1) : 0);
+  }
+
+  RpcFixture fx_;
+  KvStoreApp* app_ = nullptr;
+  int64_t server_calls_ = 0;
+  RaceOutcome outcome_;
+  std::weak_ptr<int> sentinel_;
+};
+
+TEST_P(RpcRaceTest, ReplyWinsAndReleasesDoneBeforeTheTimerFires) {
+  Invoke(Seconds(1));
+  fx_.sim.RunUntil(ReplyAt());
+  EXPECT_EQ(outcome_.done_calls, 1);
+  EXPECT_TRUE(outcome_.ok);
+  EXPECT_EQ(outcome_.done_at, ReplyAt());
+  // The timer is still queued (as a no-op), but the caller's closure is already gone.
+  EXPECT_GT(fx_.sim.PendingEvents(), 0u);
+  EXPECT_TRUE(sentinel_.expired());
+  fx_.sim.RunAll();
+  EXPECT_EQ(outcome_.done_calls, 1);
+  EXPECT_TRUE(outcome_.ok);
+}
+
+TEST_P(RpcRaceTest, DeadServerTimeoutWinsExactlyOnce) {
+  fx_.registry.SetAlive(ServerId(1), false);
+  Invoke(Millis(500));
+  fx_.sim.RunAll();
+  EXPECT_EQ(outcome_.done_calls, 1);
+  EXPECT_FALSE(outcome_.ok);
+  EXPECT_EQ(outcome_.done_at, Millis(500));
+  EXPECT_EQ(ServerCalls(), 0);
+  EXPECT_TRUE(sentinel_.expired());
+}
+
+TEST_P(RpcRaceTest, DuplicatedRequestAndReplyRunDoneOnce) {
+  LinkQuality duplicating;
+  duplicating.duplicate_probability = 1.0;
+  fx_.network.SetLinkQuality(RegionId(0), RegionId(1), duplicating);
+  fx_.network.SetLinkQuality(RegionId(1), RegionId(0), duplicating);
+  Invoke(Seconds(1));
+  fx_.sim.RunAll();
+  // Both request copies reach the server and each reply is duplicated again: four replies
+  // reach the same record, and only the first completes the call.
+  EXPECT_EQ(ServerCalls(), 2);
+  EXPECT_EQ(fx_.network.messages_duplicated(), 3u);
+  EXPECT_EQ(outcome_.done_calls, 1);
+  EXPECT_TRUE(outcome_.ok);
+  EXPECT_EQ(outcome_.done_at, ReplyAt());
+  EXPECT_TRUE(sentinel_.expired());
+}
+
+TEST_P(RpcRaceTest, ReplyAfterTheTimeoutIsANoOp) {
+  LinkQuality slow;
+  slow.latency_multiplier = 10.0;  // the reply hop takes 400 ms
+  fx_.network.SetLinkQuality(RegionId(1), RegionId(0), slow);
+  Invoke(Millis(200));
+  fx_.sim.RunAll();
+  EXPECT_EQ(ServerCalls(), 1);  // the server did answer, after the caller gave up
+  EXPECT_EQ(outcome_.done_calls, 1);
+  EXPECT_FALSE(outcome_.ok);
+  EXPECT_EQ(outcome_.done_at, Millis(200));
+  EXPECT_GT(fx_.sim.Now(), Millis(400));
+  EXPECT_TRUE(sentinel_.expired());
+}
+
+TEST_P(RpcRaceTest, TimerFiringReleasesDoneWhenNoReplyComes) {
+  fx_.network.PartitionRegion(RegionId(1));
+  Invoke(Millis(300));
+  fx_.sim.RunUntil(Millis(299));
+  EXPECT_FALSE(sentinel_.expired());  // still waiting: the record holds `done`
+  fx_.sim.RunUntil(Millis(300));
+  EXPECT_EQ(outcome_.done_calls, 1);
+  EXPECT_FALSE(outcome_.ok);
+  EXPECT_TRUE(sentinel_.expired());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothHelpers, RpcRaceTest,
+                         ::testing::Values(RpcKind::kControl, RpcKind::kData),
+                         [](const ::testing::TestParamInfo<RpcKind>& info) {
+                           return info.param == RpcKind::kControl ? "CallControl" : "CallData";
+                         });
 
 // ---- SmLibrary ----------------------------------------------------------------------------------
 
